@@ -61,15 +61,6 @@ std::string json_number(double v) {
   return buf;
 }
 
-std::string json_string(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
-  }
-  return out + "\"";
-}
-
 Metrics end_to_end(const Outcome& o) {
   const double ops = static_cast<double>(o.attempted);
   return {
@@ -78,7 +69,7 @@ Metrics end_to_end(const Outcome& o) {
       {"latency_p50_ms", median(o.latencies_ms), "ms"},
       {"latency_tail_ms", tail_with_ten_beyond(o.latencies_ms), "ms"},
       {"cpu_ms_per_op", o.cpu_s * 1e3 / ops, "ms"},
-      {"peak_rss_mb", peak_rss_mb(), "MB"},
+      {"peak_rss_mb", o.peak_rss_mb, "MB"},
   };
 }
 

@@ -192,6 +192,7 @@ Outcome run_design_search(const RunContext& ctx) {
   } while (Clock::now() < deadline);
   out.elapsed_s = ms_between(start, Clock::now()) / 1e3;
   out.cpu_s = process_cpu_seconds() - cpu0;
+  out.peak_rss_mb = peak_rss_mb();
   out.attempted = static_cast<std::int64_t>(out.latencies_ms.size());
 
   if (reference.stats.evaluated != expected)

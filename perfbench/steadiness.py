@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Run-to-run spread of every end-to-end metric, beside its bound.
 
-    python3 perfbench/steadiness.py [--workloads a,b] [--runs 10]
-                                    [--first-seed 1] [--seconds S] [--traced]
+    python3 perfbench/steadiness.py [--workloads a,b] [--runs 10] [--traced]
 
-Runs each workload --runs times through perfbench/run.py, one seed per
-run, and prints for every end-to-end metric the median, the distance
-between the first and third quartile (statistics.quantiles, n=4) as a
-share of the median, and the bound from BENCHMARK.json. A spread below a
-third of its bound is marked "steady". setup_s is exempt from the spread
-rule (only its median is compared), and is marked so. It also prints the
-failed share of every run, which must be identical across runs.
+Runs each workload --runs times through perfbench/run.py for
+BENCHMARK.json's run_seconds, with seeds 1..runs, and prints for every
+end-to-end metric the median, the distance between the first and third
+quartile (statistics.quantiles, n=4) as a share of the median, and the
+bound from BENCHMARK.json. A spread below a third of its bound is marked
+"steady", one above its bound "TOO NOISY". It also prints the failed
+share of every run, which must be identical across runs.
 With --traced, one traced run per workload follows, and the gap between
 its timed-phase throughput and the untraced median is reported as the
 tracing overhead. Raw results go to .bench_build/perfbench/steadiness.json.
@@ -48,10 +47,9 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", default=",".join(names))
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
     ap.add_argument("--traced", action="store_true")
     args = ap.parse_args()
+    seconds = bench["run_seconds"]
     if args.runs < 2:
         ap.error("--runs must be at least 2")
 
@@ -59,20 +57,17 @@ def main():
     for workload in args.workloads.split(","):
         if workload not in names:
             sys.exit(f"unknown workload {workload}; known: {', '.join(names)}")
-        runs = [run_once(workload, args.first_seed + i, args.seconds, 0)
-                for i in range(args.runs)]
+        runs = [run_once(workload, seed, seconds, 0)
+                for seed in range(1, args.runs + 1)]
         raw[workload] = {"untraced": runs}
-        print(f"\n{workload}: {args.runs} runs of {args.seconds:g} s, seeds "
-              f"{args.first_seed}..{args.first_seed + args.runs - 1}")
+        print(f"\n{workload}: {args.runs} runs of {seconds} s, seeds 1..{args.runs}")
         print(f"  {'metric':<18} {'median':>14} {'spread':>8} {'bound':>7}  verdict")
         for metric in bench["end_to_end"]:
             values = [r["metrics"][metric["name"]]["value"] for r in runs]
             med = statistics.median(values)
             q1, _, q3 = statistics.quantiles(values, n=4)
             spread = (q3 - q1) / med if med else float("inf")
-            if metric["name"] == "setup_s":
-                verdict = "median only"
-            elif spread < metric["bound"] / 3:
+            if spread < metric["bound"] / 3:
                 verdict = "steady"
             elif spread <= metric["bound"]:
                 verdict = "within bound"
@@ -84,7 +79,7 @@ def main():
         print(f"  failed share per run: {', '.join(f'{s:.6f}' for s in shares)}"
               f"{'' if len(shares) == 1 else '  NOT IDENTICAL'}")
         if args.traced:
-            traced = run_once(workload, args.first_seed, args.seconds, 1)
+            traced = run_once(workload, 1, seconds, 1)
             raw[workload]["traced"] = traced
             untraced = statistics.median(
                 r["metrics"]["throughput_per_s"]["value"] for r in runs)

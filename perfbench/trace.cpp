@@ -2,6 +2,8 @@
 
 #include <fstream>
 
+#include "util.hpp"
+
 namespace perfbench {
 namespace {
 
@@ -17,21 +19,6 @@ std::uint32_t thread_number() {
     mine = next++;
   }
   return mine;
-}
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -71,10 +58,8 @@ bool Tracer::write_chrome_json(const std::string& path) const {
     for (const SpanRecord& s : spans_) {
       if (!first) out += ",\n";
       first = false;
-      out += "{\"name\": ";
-      append_json_string(out, s.name);
-      out += ", \"ph\": \"X\", \"pid\": 1, \"tid\": " +
-             std::to_string(s.thread) +
+      out += "{\"name\": " + json_string(s.name) +
+             ", \"ph\": \"X\", \"pid\": 1, \"tid\": " + std::to_string(s.thread) +
              ", \"ts\": " + std::to_string(static_cast<double>(s.start_ns) / 1e3) +
              ", \"dur\": " +
              std::to_string(static_cast<double>(s.end_ns - s.start_ns) / 1e3) +
@@ -82,8 +67,7 @@ bool Tracer::write_chrome_json(const std::string& path) const {
              ", \"parent\": " + std::to_string(s.parent) +
              ", \"request\": " + std::to_string(s.request);
       if (!s.detail.empty()) {
-        out += ", \"detail\": ";
-        append_json_string(out, s.detail);
+        out += ", \"detail\": " + json_string(s.detail);
       }
       out += "}}";
     }

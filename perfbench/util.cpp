@@ -42,6 +42,15 @@ void add_error(std::vector<std::string>& errors, std::string msg) {
   if (errors.size() < kMaxErrors) errors.push_back(std::move(msg));
 }
 
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += static_cast<unsigned char>(c) < 0x20 ? ' ' : c;
+  }
+  return out + "\"";
+}
+
 double process_cpu_seconds() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);

@@ -35,6 +35,9 @@ using Metrics = std::vector<Metric>;
 // Records a correctness failure (the first few; later ones add nothing).
 void add_error(std::vector<std::string>& errors, std::string msg);
 
+// `s` as a quoted JSON string (control characters become spaces).
+[[nodiscard]] std::string json_string(const std::string& s);
+
 // --- process readings ------------------------------------------------------
 
 [[nodiscard]] double process_cpu_seconds();  // user + sys, all threads

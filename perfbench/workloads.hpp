@@ -15,7 +15,7 @@
 
 namespace perfbench {
 
-inline constexpr int kSetupRepetitions = 3;
+inline constexpr int kSetupRepetitions = 9;
 
 struct RunContext {
   std::uint64_t seed = 1;
@@ -32,6 +32,7 @@ struct Outcome {
   double units = 0.0;        // work completed: requests or design points
   double elapsed_s = 0.0;    // timed phase wall time
   double cpu_s = 0.0;        // process CPU time over the timed phase
+  double peak_rss_mb = 0.0;  // read when the timed phase ends, before the checks
   std::vector<std::string> errors;  // correctness failures
   Metrics per_layer;                // phase-derived metrics (traced run)
 };
