@@ -41,7 +41,6 @@ struct Workload {
 };
 
 constexpr Workload kWorkloads[] = {
-    {"alexnet-paper", run_alexnet_paper},
     {"gateway-small", run_gateway_small},
     {"fidelity-small", run_fidelity_small},
     {"design-search", run_design_search},
@@ -49,9 +48,9 @@ constexpr Workload kWorkloads[] = {
 
 int usage(const char* why) {
   std::cerr << "perfbench: " << why
-            << "\nusage: perfbench --workload <alexnet-paper|gateway-small|"
-               "fidelity-small|design-search> --seed <n> --seconds <s> "
-               "--trace <0|1> --out-dir <dir>\n";
+            << "\nusage: perfbench --workload <gateway-small|fidelity-small|"
+               "design-search> --seed <n> --seconds <s> --trace <0|1> "
+               "--out-dir <dir>\n";
   return 2;
 }
 
@@ -67,7 +66,7 @@ Metrics end_to_end(const Outcome& o) {
       {"setup_s", median(o.setup_s), "s"},
       {"throughput_per_s", o.units / o.elapsed_s, "1/s"},
       {"latency_p50_ms", median(o.latencies_ms), "ms"},
-      {"latency_tail_ms", tail_with_ten_beyond(o.latencies_ms), "ms"},
+      {"latency_tail_ms", tail_latency(o.latencies_ms), "ms"},
       {"cpu_ms_per_op", o.cpu_s * 1e3 / ops, "ms"},
       {"peak_rss_mb", o.peak_rss_mb, "MB"},
   };

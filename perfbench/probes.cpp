@@ -178,6 +178,7 @@ void probe_alexnet_layers(const RunContext& ctx, Metrics& out,
                  "GOPS/W"});
   if (executed_macs_per_image(served.run, 1) != net.nominal_macs)
     add_error(errors, "alexnet probe: executed MACs differ from the paper's");
+  check_run_against_reference(net, input, ctx.seed, served.run, ctx.seed, 32, errors);
 }
 
 void probe_small_layers(const RunContext& ctx, Metrics& out,

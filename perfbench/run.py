@@ -18,7 +18,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD_DIR = os.path.join(ROOT, ".bench_build", "perfbench")
-WORKLOADS = ["alexnet-paper", "gateway-small", "fidelity-small", "design-search"]
+WORKLOADS = ["gateway-small", "fidelity-small", "design-search"]
 
 
 def build():

@@ -1,4 +1,4 @@
-// alexnet-paper and fidelity-small: one request in flight through a lone
+// fidelity-small: one request in flight through a lone cycle-accurate
 // InferenceServer, inputs and weights drawn from the run's seed.
 #include <malloc.h>
 
@@ -42,23 +42,31 @@ ServedNetwork served(PooledNetwork net, std::uint64_t seed, std::uint64_t salt) 
   return s;
 }
 
-struct SingleStreamSpec {
-  serve::ServerOptions server;
-  std::vector<ServedNetwork> nets;
-  std::vector<std::size_t> round;  // network index of each operation
-  bool expect_fidelity = false;
-};
+}  // namespace
 
-Outcome run_single_stream(const RunContext& ctx, const SingleStreamSpec& spec) {
+Outcome run_fidelity_small(const RunContext& ctx) {
   // A fixed mmap threshold (glibc's initial one), so large blocks are
   // always mapped and unmapped and the peak resident set tracks live
   // memory. With glibc's sliding threshold they stayed in the heap once
-  // one had been freed, and the AlexNet peak ranged 27-31 MB over eight
-  // runs by allocation order; pinned, 26.25-26.36 MB, for about 1300
-  // more minor page faults per request (well under 1% of its CPU time).
+  // one had been freed, and the peak of a served AlexNet ranged 27-31 MB
+  // over eight runs by allocation order; pinned, 26.25-26.36 MB, for
+  // about 1300 more minor page faults per request (well under 1% of its
+  // CPU time).
   ::mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  serve::ServerOptions server_options;
+  server_options.num_threads = 1;
+  server_options.name = "paper-chip";
+  server_options.accelerator.exec_mode = chain::ExecMode::kCycleAccurate;
+  server_options.fidelity_sample_every_n = 1;
+  const std::vector<ServedNetwork> nets = {served(paper_lenet(), ctx.seed, 2),
+                                           served(paper_cifar10(), ctx.seed, 3)};
+  // Two LeNet (~0.35 s) per CIFAR-10 (~0.7 s): the median stays inside
+  // the LeNet mode and, from 31 operations on, the tail (ten samples
+  // beyond it) inside the CIFAR-10 mode, so neither sits on a boundary.
+  const std::size_t round[] = {0, 0, 1};  // network index of each operation
+
   Outcome out;
-  for (const ServedNetwork& s : spec.nets) {
+  for (const ServedNetwork& s : nets) {
     std::int64_t macs = 0;
     for (const auto& layer : expected_layers(s.net)) macs += conv_macs(layer);
     if (macs != s.net.nominal_macs)
@@ -70,13 +78,13 @@ Outcome run_single_stream(const RunContext& ctx, const SingleStreamSpec& spec) {
   // Set-up: a cold server (own plan cache and arena), then one request
   // per network fills the plan cache and warms the allocator.
   std::unique_ptr<serve::InferenceServer> server;
-  std::vector<std::int64_t> ref_cycles(spec.nets.size(), 0);
+  std::vector<std::int64_t> ref_cycles(nets.size(), 0);
   for (int rep = 0; rep < kSetupRepetitions; ++rep) {
     server.reset();  // one server (and arena) alive at a time
     const auto t0 = Clock::now();
-    server = std::make_unique<serve::InferenceServer>(spec.server);
-    for (std::size_t n = 0; n < spec.nets.size(); ++n) {
-      const ServedNetwork& s = spec.nets[n];
+    server = std::make_unique<serve::InferenceServer>(server_options);
+    for (std::size_t n = 0; n < nets.size(); ++n) {
+      const ServedNetwork& s = nets[n];
       const serve::InferenceResult r =
           server->submit(s.net.model, s.inputs.front(), s.options).get();
       ref_cycles[n] = chainnn::net::run_cycles(r.run);
@@ -89,17 +97,17 @@ Outcome run_single_stream(const RunContext& ctx, const SingleStreamSpec& spec) {
     std::uint64_t digest = 0;
     serve::InferenceResult result;
   };
-  std::vector<std::vector<Kept>> kept(spec.nets.size(),
+  std::vector<std::vector<Kept>> kept(nets.size(),
                                       std::vector<Kept>(kInputsPerNetwork));
-  std::vector<std::size_t> next_input(spec.nets.size(), 0);
+  std::vector<std::size_t> next_input(nets.size(), 0);
 
   const double cpu0 = process_cpu_seconds();
   const auto start = Clock::now();
   const auto deadline = after_seconds(start, ctx.seconds);
   std::uint64_t op = 0;
   do {
-    for (const std::size_t n : spec.round) {
-      const ServedNetwork& s = spec.nets[n];
+    for (const std::size_t n : round) {
+      const ServedNetwork& s = nets[n];
       const std::size_t k = next_input[n]++ % s.inputs.size();
       ++op;
       Span span("request", op, s.net.model.name);
@@ -128,7 +136,7 @@ Outcome run_single_stream(const RunContext& ctx, const SingleStreamSpec& spec) {
                                   " MACs per image");
       if (chainnn::net::run_cycles(r.run) != ref_cycles[n])
         add_error(out.errors, who + ": cycles differ from the warm-up run");
-      if (spec.expect_fidelity && (!r.fidelity.sampled || r.fidelity.diverged))
+      if (!r.fidelity.sampled || r.fidelity.diverged)
         add_error(out.errors, who + ": fidelity cross-check " +
                                   (r.fidelity.sampled ? "diverged: " + r.fidelity.detail
                                                       : std::string("not sampled")));
@@ -149,11 +157,11 @@ Outcome run_single_stream(const RunContext& ctx, const SingleStreamSpec& spec) {
   out.attempted = static_cast<std::int64_t>(out.latencies_ms.size());
   out.units = static_cast<double>(out.attempted);
 
-  for (std::size_t n = 0; n < spec.nets.size(); ++n)
+  for (std::size_t n = 0; n < nets.size(); ++n)
     for (std::size_t k = 0; k < kept[n].size(); ++k)
       if (kept[n][k].have)
-        check_run_against_reference(spec.nets[n].net, spec.nets[n].inputs[k],
-                                    spec.nets[n].weight_seed,
+        check_run_against_reference(nets[n].net, nets[n].inputs[k],
+                                    nets[n].weight_seed,
                                     kept[n][k].result.run, ctx.seed + k,
                                     kAccumulatorSamples, out.errors);
   const serve::ServerStats stats = server->stats();
@@ -161,33 +169,6 @@ Outcome run_single_stream(const RunContext& ctx, const SingleStreamSpec& spec) {
     add_error(out.errors, std::to_string(stats.fidelity_divergences) +
                               " fidelity divergence(s)");
   return out;
-}
-
-}  // namespace
-
-Outcome run_alexnet_paper(const RunContext& ctx) {
-  SingleStreamSpec spec;
-  spec.server.num_threads = 1;
-  spec.server.name = "paper-chip";
-  spec.nets.push_back(served(paper_alexnet(), ctx.seed, 1));
-  spec.round = {0};
-  return run_single_stream(ctx, spec);
-}
-
-Outcome run_fidelity_small(const RunContext& ctx) {
-  SingleStreamSpec spec;
-  spec.server.num_threads = 1;
-  spec.server.name = "paper-chip";
-  spec.server.accelerator.exec_mode = chain::ExecMode::kCycleAccurate;
-  spec.server.fidelity_sample_every_n = 1;
-  spec.nets.push_back(served(paper_lenet(), ctx.seed, 2));
-  spec.nets.push_back(served(paper_cifar10(), ctx.seed, 3));
-  // Two LeNet (~0.35 s) per CIFAR-10 (~0.7 s): the median stays inside
-  // the LeNet mode and, from 31 operations on, the tail (ten samples
-  // beyond it) inside the CIFAR-10 mode, so neither sits on a boundary.
-  spec.round = {0, 0, 1};
-  spec.expect_fidelity = true;
-  return run_single_stream(ctx, spec);
 }
 
 }  // namespace perfbench

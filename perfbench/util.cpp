@@ -31,10 +31,13 @@ double percentile(std::vector<double> v, double q) {
   return v[i - 1];
 }
 
-double tail_with_ten_beyond(std::vector<double> v) {
+double tail_latency(std::vector<double> v) {
   if (v.empty()) return 0.0;
   std::sort(v.begin(), v.end());
-  return v.size() <= 10 ? v.back() : v[v.size() - 11];
+  const std::size_t n = v.size();
+  if (n <= 10) return v.back();
+  const auto p90 = static_cast<std::size_t>(std::ceil(0.9 * static_cast<double>(n)));
+  return v[std::min(p90, n - 10) - 1];
 }
 
 void add_error(std::vector<std::string>& errors, std::string msg) {

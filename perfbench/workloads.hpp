@@ -1,4 +1,4 @@
-// The four workloads and the per-layer probes of the traced run.
+// The three workloads and the per-layer probes of the traced run.
 //
 // Every workload sets itself up kSetupRepetitions times (each from
 // cold: new server or fleet, new plan cache, warm-up) and keeps the last
@@ -37,7 +37,6 @@ struct Outcome {
   Metrics per_layer;                // phase-derived metrics (traced run)
 };
 
-[[nodiscard]] Outcome run_alexnet_paper(const RunContext& ctx);
 [[nodiscard]] Outcome run_gateway_small(const RunContext& ctx);
 [[nodiscard]] Outcome run_fidelity_small(const RunContext& ctx);
 [[nodiscard]] Outcome run_design_search(const RunContext& ctx);
