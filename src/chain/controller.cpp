@@ -28,7 +28,13 @@ LayerController::LayerController(const AcceleratorConfig& cfg,
     : cfg_(cfg),
       plan_(plan),
       hierarchy_(hierarchy),
-      chain_(plan.primitives, plan.taps, plan.array.kmem_words_per_pe) {
+      // Only the kMemory words this layer's passes address are modelled:
+      // one per (channel of a tile, phase), capped at the capacity so an
+      // over-long tile still fails the chain's word check.
+      chain_(plan.primitives, plan.taps,
+             std::min(plan.array.kmem_words_per_pe,
+                      plan.c_tile *
+                          static_cast<std::int64_t>(plan.subconvs.size()))) {
   // Resident-kernel groups: chunks of `primitives` kernels, never mixing
   // convolution groups (resident kernels share the ifmap stream).
   const std::int64_t m_per_group = plan_.layer.out_channels_per_group();
@@ -56,12 +62,16 @@ void LayerController::load_kernels_for(const MGroup& mg,
   const std::int64_t c_base = c_tile_idx * plan_.c_tile;
   const std::int64_t c_limit =
       std::min(plan_.c_tile, layer.channels_per_group() - c_base);
+  const std::int64_t k = layer.kernel;
 
   std::int64_t loads = 0;
   for (std::int64_t q = 0; q < mg.kernels_resident; ++q) {
     const std::int64_t m = mg.first_m + q;
     for (std::int64_t c_local = 0; c_local < c_limit; ++c_local) {
-      const std::int64_t c_in_group = c_base + c_local;
+      // Kernel (m, c_base + c_local), a K x K row-major plane.
+      const std::int16_t* kernel =
+          kernels.data().data() +
+          (m * layer.channels_per_group() + c_base + c_local) * k * k;
       for (std::int64_t si = 0; si < n_subs; ++si) {
         const dataflow::SubConv& sub = plan_.subconvs[si].sub;
         const std::int64_t word = c_local * n_subs + si;
@@ -71,8 +81,7 @@ void LayerController::load_kernels_for(const MGroup& mg,
             const std::int64_t kx = sub.phase_col + layer.stride * skx;
             const std::int64_t s = sky + sub.kernel_rows * skx;
             const std::int64_t p = sub.taps() - 1 - s;
-            chain_.primitive(q).load_kmemory(
-                p, word, kernels.at(m, c_in_group, ky, kx));
+            chain_.load_kmemory(q, p, word, kernel[ky * k + kx]);
             ++loads;
           }
         }
@@ -86,29 +95,28 @@ void LayerController::load_kernels_for(const MGroup& mg,
       static_cast<std::uint64_t>(loads) * hierarchy_.config().word_bytes);
 }
 
-void LayerController::accumulate(Tensor<std::int64_t>& acc, std::int64_t n,
-                                 std::int64_t m, std::int64_t oy,
-                                 std::int64_t ox, std::int64_t psum,
-                                 bool first_pass) {
-  std::int64_t& slot = acc.at(n, m, oy, ox);
+void LayerController::accumulate(std::int64_t* dst, std::int64_t stride,
+                                 std::int64_t count,
+                                 const std::int64_t* psums) const {
   if (cfg_.psum_storage == PsumStorage::kWide) {
-    fixed::Accumulator48 a(slot);
-    a.add(psum);
-    slot = a.value();
-  } else {
-    // Staged 16-bit partials: narrow this pass's psum to the psum format
-    // and add saturating into the stored partial.
-    const int acc_frac =
-        cfg_.ifmap_fmt.frac_bits + cfg_.kernel_fmt.frac_bits;
-    const std::int16_t narrowed = fixed::narrow_to_fixed16(
-        psum, acc_frac, cfg_.psum_fmt, cfg_.rounding,
-        fixed::Overflow::kSaturate);
-    std::int64_t sum = slot + narrowed;
-    sum = std::clamp<std::int64_t>(sum, -32768, 32767);
-    slot = sum;
+    for (std::int64_t q = 0; q < count; ++q) {
+      std::int64_t& slot = dst[q * stride];
+      fixed::Accumulator48 a(slot);
+      a.add(psums[q]);
+      slot = a.value();
+    }
+    return;
   }
-  hierarchy_.omemory().write_words(1);
-  if (!first_pass) hierarchy_.omemory().read_words(1);
+  // Staged 16-bit partials: narrow this pass's psum to the psum format
+  // and add saturating into the stored partial.
+  const int acc_frac = cfg_.ifmap_fmt.frac_bits + cfg_.kernel_fmt.frac_bits;
+  for (std::int64_t q = 0; q < count; ++q) {
+    std::int64_t& slot = dst[q * stride];
+    const std::int16_t narrowed = fixed::narrow_to_fixed16(
+        psums[q], acc_frac, cfg_.psum_fmt, cfg_.rounding,
+        fixed::Overflow::kSaturate);
+    slot = std::clamp<std::int64_t>(slot + narrowed, -32768, 32767);
+  }
 }
 
 void LayerController::run_pass(const MGroup& mg, std::int64_t image,
@@ -132,7 +140,7 @@ void LayerController::run_pass(const MGroup& mg, std::int64_t image,
   const std::int64_t kmem_reads = chain_.latch_weights(sub.taps(), word);
   hierarchy_.kmemory().read_words(static_cast<std::uint64_t>(kmem_reads));
 
-  chain_.reset_pass_state();
+  chain_.begin_pass(pattern, mg.kernels_resident);
 
   const std::int64_t group_first_c =
       mg.group * layer.channels_per_group();
@@ -140,28 +148,40 @@ void LayerController::run_pass(const MGroup& mg, std::int64_t image,
   const std::int64_t taps_phys = plan_.taps;
   const std::int64_t e_h = layer.out_height();
   const std::int64_t e_w = layer.out_width();
+  const std::int64_t in_h = layer.in_height;
+  const std::int64_t in_w = layer.in_width;
 
-  // Fetch one channel pixel for a scheduled slot, charging iMemory for
-  // real (non-padding) pixels.
+  // Strip pixel (row, col) sits at ifmap (r_org + stride*row,
+  // c_org + stride*col) of channel plane (image, c_abs); outside the
+  // ifmap it is padding, synthesized rather than read.
+  const std::int16_t* plane =
+      ifmaps.data().data() +
+      (image * layer.in_channels + c_abs) * in_h * in_w;
+  const std::int64_t r_org = layer.stride * strip.first_out_row +
+                             sub.phase_row - layer.pad_rows();
+  const std::int64_t c_org = sub.phase_col - layer.pad_cols();
+  std::uint64_t imem_reads = 0;
   auto fetch = [&](const std::optional<ScheduledPixel>& px) -> std::int16_t {
     if (!px) return 0;
-    const std::int64_t dec_row = strip.first_out_row + px->row;
-    const std::int64_t dec_col = px->col;
-    const std::int64_t pr = layer.stride * dec_row + sub.phase_row;
-    const std::int64_t pc = layer.stride * dec_col + sub.phase_col;
-    const std::int64_t r = pr - layer.pad_rows();
-    const std::int64_t c = pc - layer.pad_cols();
-    if (r < 0 || r >= layer.in_height || c < 0 || c >= layer.in_width)
-      return 0;  // padding, synthesized rather than read
-    hierarchy_.imemory().read_words(1);
-    return ifmaps.at(image, c_abs, r, c);
+    const std::int64_t r = r_org + layer.stride * px->row;
+    const std::int64_t c = c_org + layer.stride * px->col;
+    if (r < 0 || r >= in_h || c < 0 || c >= in_w) return 0;
+    ++imem_reads;
+    return plane[r * in_w + c];
   };
 
+  // Accumulator planes (image, first_m + q) of the resident kernels.
+  const std::int64_t plane_size = e_h * e_w;
+  std::int64_t* acc_planes =
+      acc.mutable_data().data() +
+      (image * layer.out_channels + mg.first_m) * plane_size;
+
+  std::int64_t windows = 0;
   const std::int64_t slots = pattern.num_slots();
   for (std::int64_t slot = 0; slot < slots + taps_phys; ++slot) {
     const std::int16_t in0 = fetch(pattern.pixel_at(slot, 0));
     const std::int16_t in1 = fetch(pattern.pixel_at(slot, 1));
-    chain_.step(pattern, slot, in0, in1);
+    chain_.step(slot, in0, in1);
 
     // Window t's psum commits into the last PE at the end of cycle
     // t + (T-1): PE 0 MACs at t, each later PE one cycle after.
@@ -170,13 +190,19 @@ void LayerController::run_pass(const MGroup& mg, std::int64_t image,
     const std::int64_t oy = strip.first_out_row + comp->r0;
     const std::int64_t ox = comp->c0;
     if (oy >= e_h || ox >= e_w) continue;
-    for (std::int64_t q = 0; q < mg.kernels_resident; ++q) {
-      accumulate(acc, image, mg.first_m + q, oy, ox, chain_.output(q),
-                 first_pass);
-      ++stats.windows_collected;
-      stats.macs_performed += sub.taps();
-    }
+    accumulate(acc_planes + oy * e_w + ox, plane_size, mg.kernels_resident,
+               chain_.outputs());
+    ++windows;
   }
+
+  // Memory traffic and work of the whole pass, charged at once.
+  const std::int64_t collected = windows * mg.kernels_resident;
+  const auto collected_words = static_cast<std::uint64_t>(collected);
+  hierarchy_.imemory().read_words(imem_reads);
+  hierarchy_.omemory().write_words(collected_words);
+  if (!first_pass) hierarchy_.omemory().read_words(collected_words);
+  stats.windows_collected += collected;
+  stats.macs_performed += collected * sub.taps();
   stats.stream_cycles += slots;  // drain overlaps the next pass's stream
   ++stats.passes;
 }

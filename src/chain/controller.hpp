@@ -97,11 +97,11 @@ class LayerController {
                 const Tensor<std::int16_t>& ifmaps,
                 Tensor<std::int64_t>& acc, RunStats& stats);
 
-  // Accumulates one completed window psum into the surface under the
-  // configured PsumStorage policy; charges oMemory.
-  void accumulate(Tensor<std::int64_t>& acc, std::int64_t n, std::int64_t m,
-                  std::int64_t oy, std::int64_t ox, std::int64_t psum,
-                  bool first_pass);
+  // Accumulates one completed window's psums — `psums[q]` into
+  // dst[q * stride] for q < count — under the configured PsumStorage
+  // policy. oMemory is charged per pass by the caller.
+  void accumulate(std::int64_t* dst, std::int64_t stride,
+                  std::int64_t count, const std::int64_t* psums) const;
 
   void enter_state(ControllerState s);
 

@@ -17,10 +17,11 @@ std::string dump_pass_vcd(const StripPattern& pattern,
   SystolicChain chain(1, taps, 1);
   for (std::int64_t p = 0; p < taps; ++p) {
     const std::int64_t s = taps - 1 - p;
-    chain.primitive(0).load_kmemory(
-        p, 0, kernel.at(s % pattern.k_rows(), s / pattern.k_rows()));
+    chain.load_kmemory(
+        0, p, 0, kernel.at(s % pattern.k_rows(), s / pattern.k_rows()));
   }
   (void)chain.latch_weights(taps, 0);
+  chain.begin_pass(pattern, 1);
 
   sim::VcdWriter vcd;
   const auto ch0 = vcd.add_signal("streamer", "ch0_in", 16);
@@ -42,7 +43,7 @@ std::string dump_pass_vcd(const StripPattern& pattern,
   for (std::int64_t slot = 0; slot < pattern.num_slots() + taps; ++slot) {
     const std::int16_t in0 = fetch(pattern.pixel_at(slot, 0));
     const std::int16_t in1 = fetch(pattern.pixel_at(slot, 1));
-    chain.step(pattern, slot, in0, in1);
+    chain.step(slot, in0, in1);
     vcd.change(slot, ch0, static_cast<std::uint16_t>(in0));
     vcd.change(slot, ch1, static_cast<std::uint16_t>(in1));
     for (std::int64_t p = 0; p < taps; ++p)

@@ -274,7 +274,7 @@ RequestCycleEstimate estimate_request_cycles(const ExecutionPlan& plan,
   est.stream_cycles = batch * plan.m_groups *
                       plan.layer.channels_per_group() *
                       plan.stream_slots_per_channel_pass_on(array);
-  est.drain_cycles = batch * plan.drain_cycles_on(array);
+  est.drain_cycles = plan.drain_cycles_on(array);  // once, as executed
   return est;
 }
 

@@ -181,16 +181,19 @@ struct PlanKeyHash {
 
 // Closed-form cost of one serving request — `batch` images of the plan's
 // layer on the plan's array — broken into the components a router wants
-// to reason about. total() equals cycles_per_batch(batch) exactly, so a
-// modelled completion time is as trustworthy as the analytical engine
-// itself (which the test suite pins against the cycle-accurate
-// simulator). Routing layers fetch the plan by PlanKey through a shared
-// serve::PlanCache and call this, so sizing a request costs a hash
-// lookup, not a planning pass.
+// to reason about. total() equals the cycles both executed engines
+// charge for that request (kernel loads, every image's streaming, one
+// chain drain; pinned against NetworkRunner runs in the router tests),
+// so a modelled completion time is as trustworthy as the engines
+// themselves. ExecutionPlan::cycles_per_batch still charges the drain
+// once per image, so it exceeds total() by (batch - 1) drains. Routing
+// layers fetch the plan by PlanKey through a shared serve::PlanCache and
+// call this, so sizing a request costs a hash lookup, not a planning
+// pass.
 struct RequestCycleEstimate {
   std::int64_t kernel_load_cycles = 0;  // once per request (§V.B)
   std::int64_t stream_cycles = 0;       // batch x per-image streaming
-  std::int64_t drain_cycles = 0;        // batch x per-image chain drain
+  std::int64_t drain_cycles = 0;        // once per request (overlaps streams)
 
   [[nodiscard]] std::int64_t total() const {
     return kernel_load_cycles + stream_cycles + drain_cycles;

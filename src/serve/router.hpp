@@ -7,11 +7,12 @@
 // will take on every chip of a heterogeneous fleet (plans fetched by
 // PlanKey through the shared serve::PlanCache, so sizing is a hash
 // lookup after the first sighting of a shape), adds the chip's current
-// modelled backlog, and picks the earliest finish time. The estimate is
-// exact for the request's chain time — the analytical engine executes
-// the very same closed forms — so routing quality degrades only through
-// host-side effects (queueing granularity, worker scheduling), not
-// through model error.
+// modelled backlog, and picks the earliest finish time. The estimate
+// equals the chain cycles either engine charges for the request (kernel
+// loads, every image's streaming, one drain per layer; pinned against
+// NetworkRunner runs in the router tests), so routing quality degrades
+// only through host-side effects (queueing granularity, worker
+// scheduling), not through model error.
 //
 // The router is execution-agnostic: it never runs anything. Fleet calls
 // route()/dispatch() at submission and complete() from the per-chip

@@ -73,28 +73,50 @@ TEST(Router, ResolvedLayersMatchTheExecutedNetwork) {
         << "layer " << i << " geometry drifted from NetworkRunner";
 }
 
+// Cycles a cycle-accurate NetworkRunner run of `net` on a {batch, C0,
+// hw, hw} input actually charges on (array, memory): the ground truth
+// the router's closed forms must reproduce.
+std::int64_t executed_cycles(const dataflow::ArrayShape& array,
+                             const mem::HierarchyConfig& memory,
+                             const nn::NetworkModel& net, std::int64_t batch,
+                             std::int64_t hw) {
+  chain::AcceleratorConfig cfg;
+  cfg.array = array;
+  cfg.memory = memory;
+  cfg.exec_mode = chain::ExecMode::kCycleAccurate;
+  chain::ChainAccelerator acc(cfg);
+  const auto energy = energy::EnergyModel::paper_calibrated();
+  chain::NetworkRunner runner(acc, energy);
+  Tensor<std::int16_t> input(
+      Shape{batch, net.conv_layers.front().in_channels, hw, hw});
+  Rng rng(11);
+  input.fill_random(rng, -64, 64);
+  const chain::NetworkRunResult run = runner.run(net, input, {});
+  std::int64_t cycles = 0;
+  for (const chain::NetworkLayerResult& layer : run.layers)
+    cycles += layer.run.stats.total_cycles();
+  return cycles;
+}
+
 TEST(Router, ModelledSecondsEqualPlanClosedForms) {
   auto cache = std::make_shared<PlanCache>();
   Router router(default_fleet_chips(), cache);
   const nn::NetworkModel net = pooled_net();
-  const std::int64_t batch = 2;
 
-  for (std::size_t c = 0; c < router.chips().size(); ++c) {
-    const ChipSpec& chip = router.chips()[c];
-    std::int64_t expect_cycles = 0;
-    for (const nn::ConvLayerParams& layer :
-         resolve_network_layers(net, batch, 16, 16, {})) {
-      const auto plan = dataflow::plan_layer(layer, chip.array, chip.memory);
-      expect_cycles += plan.cycles_per_batch(batch);
+  for (std::int64_t batch = 1; batch <= 3; ++batch) {
+    for (std::size_t c = 0; c < router.chips().size(); ++c) {
+      const ChipSpec& chip = router.chips()[c];
+      const std::int64_t expect_cycles =
+          executed_cycles(chip.array, chip.memory, net, batch, 16);
+      EXPECT_EQ(
+          router.modelled_request_cycles(c, net, batch, 16, 16, {}).total(),
+          expect_cycles)
+          << chip.name << " batch " << batch;
+      EXPECT_DOUBLE_EQ(
+          router.modelled_request_seconds(c, net, batch, 16, 16, {}),
+          static_cast<double>(expect_cycles) / chip.array.clock_hz)
+          << chip.name << " batch " << batch;
     }
-    EXPECT_EQ(
-        router.modelled_request_cycles(c, net, batch, 16, 16, {}).total(),
-        expect_cycles)
-        << chip.name;
-    EXPECT_DOUBLE_EQ(
-        router.modelled_request_seconds(c, net, batch, 16, 16, {}),
-        static_cast<double>(expect_cycles) / chip.array.clock_hz)
-        << chip.name;
   }
   // Sizing went through the shared cache.
   EXPECT_GT(cache->stats().lookups(), 0u);
@@ -106,6 +128,8 @@ TEST(Router, SharedPlanEstimateHonorsCallersNonKeyArrayFields) {
   // cache entry. Costing through the shared entry must still use the
   // caller's values, not whichever array populated the entry first.
   PlanCache cache;
+  nn::NetworkModel net;
+  net.name = "one-layer";
   nn::ConvLayerParams layer;
   layer.in_channels = 2;
   layer.out_channels = 3;
@@ -113,13 +137,13 @@ TEST(Router, SharedPlanEstimateHonorsCallersNonKeyArrayFields) {
   layer.kernel = 3;
   layer.pad = 1;
   layer.validate();
+  net.conv_layers = {layer};
   const mem::HierarchyConfig memory;
 
   dataflow::ArrayShape first;  // populates the entry
   dataflow::ArrayShape second = first;
   second.pipeline_stages = first.pipeline_stages + 4;
   second.dual_channel = false;
-  const std::int64_t batch = 2;
 
   const auto shared = cache.shared_plan_for(layer, first, memory);
   const auto cached_again = cache.shared_plan_for(layer, second, memory);
@@ -127,11 +151,17 @@ TEST(Router, SharedPlanEstimateHonorsCallersNonKeyArrayFields) {
   EXPECT_EQ(cache.stats().hits, 1u);
 
   const auto direct = dataflow::plan_layer(layer, second, memory);
-  EXPECT_EQ(dataflow::estimate_request_cycles(*shared, second, batch).total(),
-            direct.cycles_per_batch(batch));
-  // And the one-argument form still matches the plan's own array.
-  EXPECT_EQ(dataflow::estimate_request_cycles(direct, batch).total(),
-            direct.cycles_per_batch(batch));
+  for (std::int64_t batch = 1; batch <= 3; ++batch) {
+    const std::int64_t executed =
+        executed_cycles(second, memory, net, batch, 12);
+    EXPECT_EQ(dataflow::estimate_request_cycles(*shared, second, batch).total(),
+              executed)
+        << "batch " << batch;
+    // And the one-argument form still matches the plan's own array.
+    EXPECT_EQ(dataflow::estimate_request_cycles(direct, batch).total(),
+              executed)
+        << "batch " << batch;
+  }
 }
 
 TEST(Router, RoutesToEarliestModelledFinish) {
