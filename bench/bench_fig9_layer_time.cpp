@@ -111,12 +111,12 @@ bool print_fig9(chain::ExecMode mode, bool compare) {
     const double paper_model_ms =
         static_cast<double>(plan.paper_model_cycles_per_image()) * batch /
         array.clock_hz * 1e3;
+    const dataflow::LayerCost cost = plan.cost(array);
     const double ours_ms =
-        static_cast<double>(plan.cycles_per_image()) * batch /
+        static_cast<double>(cost.cycles(batch) - cost.kernel_load_cycles) /
         array.clock_hz * 1e3;
     const double load_ms =
-        static_cast<double>(plan.kernel_load_cycles_per_batch()) /
-        array.clock_hz * 1e3;
+        static_cast<double>(cost.kernel_load_cycles) / array.clock_hz * 1e3;
     SimMeasurement sim;
     if (compare) {
       const SimMeasurement fast =
@@ -165,7 +165,7 @@ bool print_fig9(chain::ExecMode mode, bool compare) {
   double ours4 = 0.0;
   for (const auto& layer : net.conv_layers) {
     const auto plan = dataflow::plan_layer(layer, array);
-    ours4 += plan.seconds_per_batch(4);
+    ours4 += plan.cost(array).seconds(4, array.clock_hz);
   }
   const double fps4_ours = 4.0 / ours4;
 

@@ -102,10 +102,11 @@ struct NetworkRunResult {
   Tensor<std::int16_t> final_activations;
 
   [[nodiscard]] double total_seconds() const;
-  [[nodiscard]] double kernel_load_seconds() const;
   // Energy integrates each layer's modelled power over its time.
   [[nodiscard]] double total_energy_j() const;
-  // Frames/s for a batch: per-image conv time plus once-per-batch loads.
+  // Frames/s for a batch of `batch` images, whatever batch this run
+  // executed: each layer's LayerCost at that batch (loads and drain once,
+  // streaming per image) at the run's clock.
   [[nodiscard]] double fps(std::int64_t batch) const;
   [[nodiscard]] bool all_verified() const;
 };

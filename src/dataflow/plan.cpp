@@ -135,11 +135,14 @@ std::int64_t ExecutionPlan::stream_slots_per_channel_pass_on(
   return slots;
 }
 
-std::int64_t ExecutionPlan::cycles_per_image() const {
+LayerCost ExecutionPlan::cost(const ArrayShape& a) const {
+  LayerCost c;
+  c.kernel_load_cycles = kernel_load_cycles_per_batch();
   // m_group -> c_tile -> sub -> strip -> c: one strip pattern per channel.
-  return m_groups * layer.channels_per_group() *
-             stream_slots_per_channel_pass() +
-         drain_cycles();
+  c.stream_cycles_per_image = m_groups * layer.channels_per_group() *
+                              stream_slots_per_channel_pass_on(a);
+  c.drain_cycles = drain_cycles_on(a);
+  return c;
 }
 
 std::int64_t ExecutionPlan::drain_cycles() const {
@@ -150,14 +153,6 @@ std::int64_t ExecutionPlan::drain_cycles_on(const ArrayShape& a) const {
   // Channel delay through the chain (2 registers per PE), the psum chain
   // of the last primitive, and the extra MAC pipeline stages.
   return 2 * (primitives - 1) * taps + taps + (a.pipeline_stages - 1);
-}
-
-std::int64_t ExecutionPlan::cycles_per_batch(std::int64_t batch) const {
-  return kernel_load_cycles_per_batch() + batch * cycles_per_image();
-}
-
-double ExecutionPlan::seconds_per_batch(std::int64_t batch) const {
-  return static_cast<double>(cycles_per_batch(batch)) / array.clock_hz;
 }
 
 std::int64_t ExecutionPlan::passes_per_image() const {
@@ -251,31 +246,6 @@ std::size_t PlanKey::hash() const {
   mix(omemory_bytes);
   mix(word_bytes);
   return static_cast<std::size_t>(h);
-}
-
-bool RequestCycleEstimate::feasible_within(double clock_hz,
-                                           double backlog_seconds,
-                                           double deadline_seconds) const {
-  CHAINNN_CHECK_MSG(clock_hz > 0.0, "clock must be positive");
-  return backlog_seconds + seconds(clock_hz) <= deadline_seconds;
-}
-
-RequestCycleEstimate estimate_request_cycles(const ExecutionPlan& plan,
-                                             std::int64_t batch) {
-  return estimate_request_cycles(plan, plan.array, batch);
-}
-
-RequestCycleEstimate estimate_request_cycles(const ExecutionPlan& plan,
-                                             const ArrayShape& array,
-                                             std::int64_t batch) {
-  CHAINNN_CHECK_MSG(batch >= 1, "batch must be >= 1, got " << batch);
-  RequestCycleEstimate est;
-  est.kernel_load_cycles = plan.kernel_load_cycles_per_batch();
-  est.stream_cycles = batch * plan.m_groups *
-                      plan.layer.channels_per_group() *
-                      plan.stream_slots_per_channel_pass_on(array);
-  est.drain_cycles = plan.drain_cycles_on(array);  // once, as executed
-  return est;
 }
 
 UtilizationRow utilization_row(const ArrayShape& array, std::int64_t kernel) {

@@ -15,9 +15,11 @@
 //               partial sums accumulate in oMemory.
 //
 // Two timing views:
-//   * cycles_*() — the schedule the cycle-accurate simulator executes;
-//     tests assert the simulator's measured counts equal these closed
-//     forms exactly.
+//   * cost() — the LayerCost of the schedule both engines execute:
+//     kernel loads and the chain drain once per batch, streaming per
+//     image. The analytical engine, the Router, admission control and
+//     the design search all read it; tests assert the cycle-accurate
+//     simulator's measured counts equal it exactly at every batch.
 //   * paper_model_cycles_*() — the idealized model the paper's Fig. 9
 //     numbers follow (MACs / active-PEs, x stride for strided layers,
 //     x K for single-channel PEs).
@@ -68,6 +70,23 @@ struct SubConvPlan {
   }
 };
 
+// The cycles one layer costs on the chain for a batch: kernels load
+// once per batch at 1 word/cycle (§V.B), every image streams, and the
+// chain drains once (the drain overlaps later images' streams).
+struct LayerCost {
+  std::int64_t kernel_load_cycles = 0;
+  std::int64_t stream_cycles_per_image = 0;
+  std::int64_t drain_cycles = 0;
+
+  [[nodiscard]] std::int64_t cycles(std::int64_t batch) const {
+    return kernel_load_cycles + batch * stream_cycles_per_image +
+           drain_cycles;
+  }
+  [[nodiscard]] double seconds(std::int64_t batch, double clock_hz) const {
+    return static_cast<double>(cycles(batch)) / clock_hz;
+  }
+};
+
 struct ExecutionPlan {
   nn::ConvLayerParams layer;
   ArrayShape array;
@@ -103,24 +122,25 @@ struct ExecutionPlan {
   }
 
   // --- streaming cycles (our schedule) --------------------------------------
+  // The layer's cost on `a`. dual_channel and pipeline_stages are the
+  // only array fields it reads, and both are outside PlanKey, so a plan
+  // shared through serve::PlanCache must be costed with the caller's
+  // array; a plan from plan_layer or PlanCache::plan_for can pass its
+  // own `array`.
+  [[nodiscard]] LayerCost cost(const ArrayShape& a) const;
   [[nodiscard]] std::int64_t stream_slots_per_channel_pass() const;
-  [[nodiscard]] std::int64_t cycles_per_image() const;
-  [[nodiscard]] std::int64_t drain_cycles() const;
-  // The two closed forms above evaluated against `a` instead of
-  // this->array: dual_channel and pipeline_stages are the only array
-  // fields they read, and both are outside PlanKey, so a plan shared
-  // through serve::PlanCache must be costed with the caller's array.
   [[nodiscard]] std::int64_t stream_slots_per_channel_pass_on(
       const ArrayShape& a) const;
+  [[nodiscard]] std::int64_t drain_cycles() const;
   [[nodiscard]] std::int64_t drain_cycles_on(const ArrayShape& a) const;
-  [[nodiscard]] std::int64_t cycles_per_batch(std::int64_t batch) const;
-  [[nodiscard]] double seconds_per_batch(std::int64_t batch) const;
-
-  // Stream slots the controller spends on one image (cycles_per_image
-  // without the once-per-run drain). The analytical engine replays this
-  // and the two counts below in place of the measured RunStats.
+  // Stream slots the controller spends on one image.
   [[nodiscard]] std::int64_t stream_cycles_per_image() const {
-    return cycles_per_image() - drain_cycles();
+    return cost(array).stream_cycles_per_image;
+  }
+  // One image alone on the chain: its streaming plus a drain. The
+  // per-image time base of the energy rates and utilization.
+  [[nodiscard]] std::int64_t cycles_per_image() const {
+    return stream_cycles_per_image() + drain_cycles();
   }
 
   // Strip passes the controller issues per image (one per
@@ -178,47 +198,6 @@ struct PlanKey {
 struct PlanKeyHash {
   std::size_t operator()(const PlanKey& k) const { return k.hash(); }
 };
-
-// Closed-form cost of one serving request — `batch` images of the plan's
-// layer on the plan's array — broken into the components a router wants
-// to reason about. total() equals the cycles both executed engines
-// charge for that request (kernel loads, every image's streaming, one
-// chain drain; pinned against NetworkRunner runs in the router tests),
-// so a modelled completion time is as trustworthy as the engines
-// themselves. ExecutionPlan::cycles_per_batch still charges the drain
-// once per image, so it exceeds total() by (batch - 1) drains. Routing
-// layers fetch the plan by PlanKey through a shared serve::PlanCache and
-// call this, so sizing a request costs a hash lookup, not a planning
-// pass.
-struct RequestCycleEstimate {
-  std::int64_t kernel_load_cycles = 0;  // once per request (§V.B)
-  std::int64_t stream_cycles = 0;       // batch x per-image streaming
-  std::int64_t drain_cycles = 0;        // once per request (overlaps streams)
-
-  [[nodiscard]] std::int64_t total() const {
-    return kernel_load_cycles + stream_cycles + drain_cycles;
-  }
-  [[nodiscard]] double seconds(double clock_hz) const {
-    return static_cast<double>(total()) / clock_hz;
-  }
-  // Deadline-feasibility closed form (admission control): can this
-  // request, queued behind `backlog_seconds` of modelled work on a chip
-  // clocked at `clock_hz`, finish within `deadline_seconds` of now? The
-  // estimate is exact for the chain time (the analytical engine executes
-  // these very closed forms), so an infeasible verdict is a modelling
-  // fact, not a heuristic — only host-side overheads (queue pickup,
-  // worker scheduling) sit outside it.
-  [[nodiscard]] bool feasible_within(double clock_hz, double backlog_seconds,
-                                     double deadline_seconds) const;
-};
-[[nodiscard]] RequestCycleEstimate estimate_request_cycles(
-    const ExecutionPlan& plan, std::int64_t batch);
-// Same closed forms, but dual_channel / pipeline_stages read from
-// `array` — for costing a plan fetched by shared pointer out of
-// serve::PlanCache, whose stored array may differ from the caller's in
-// exactly those (non-key) fields.
-[[nodiscard]] RequestCycleEstimate estimate_request_cycles(
-    const ExecutionPlan& plan, const ArrayShape& array, std::int64_t batch);
 
 // Table II helper: active primitive/PE counts for a square kernel K
 // (pure chain regrouping — no memory constraints).

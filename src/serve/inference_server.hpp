@@ -113,11 +113,11 @@ struct RequestOptions {
   // Fleet::submit; a standalone InferenceServer ignores it — it has no
   // router to size the request against). With admission set and a
   // deadline_ms given, a request whose modelled finish time
-  // (backlog + closed-form chain seconds, see
-  // dataflow::RequestCycleEstimate::feasible_within) exceeds the
-  // deadline on *every* chip is refused at submit: its future resolves
-  // immediately with RequestStatus::kRejected, nothing is charged to any
-  // backlog, and the request never executes.
+  // (backlog plus the request's dataflow::LayerCost seconds, see
+  // serve::Router::route_and_dispatch) exceeds the deadline on *every*
+  // chip is refused at submit: its future resolves immediately with
+  // RequestStatus::kRejected, nothing is charged to any backlog, and the
+  // request never executes.
   bool admission = false;
   // Modelled execution seconds, stamped by the Fleet router when it
   // dispatches the request; echoed back on InferenceResult so completion

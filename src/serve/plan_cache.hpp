@@ -94,9 +94,8 @@ class PlanCache {
   // outside the key (batch, name, clock, dual_channel, pipeline_stages,
   // iMemory/kMemory capacities) — so callers must read only key-derived
   // structure, or closed forms taking the caller's array explicitly
-  // (dataflow::estimate_request_cycles(plan, array, batch), whose total
-  // is the executed request's cycles; ExecutionPlan::cycles_per_batch
-  // reads the entry's own array and charges one drain per image).
+  // (ExecutionPlan::cost(array), whose cycles(batch) are the executed
+  // request's cycles).
   [[nodiscard]] std::shared_ptr<const dataflow::ExecutionPlan>
   shared_plan_for(const nn::ConvLayerParams& layer,
                   const dataflow::ArrayShape& array,

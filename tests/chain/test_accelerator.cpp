@@ -145,12 +145,10 @@ TEST(Accelerator, MeasuredCyclesMatchPlanClosedForm) {
     ChainAccelerator acc(small_config(256));
     const LayerRunResult res = acc.run_layer(p, d.ifmaps, d.kernels);
     const dataflow::ExecutionPlan& plan = res.plan;
-    EXPECT_EQ(res.stats.stream_cycles + res.stats.drain_cycles,
-              plan.cycles_per_image() * p.batch -
-                  plan.drain_cycles() * (p.batch - 1))
+    const dataflow::LayerCost cost = plan.cost(acc.config().array);
+    EXPECT_EQ(res.stats.total_cycles(), cost.cycles(p.batch))
         << p.to_string();
-    EXPECT_EQ(res.stats.kernel_load_cycles,
-              plan.kernel_load_cycles_per_batch())
+    EXPECT_EQ(res.stats.kernel_load_cycles, cost.kernel_load_cycles)
         << p.to_string();
   }
 }

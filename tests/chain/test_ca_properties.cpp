@@ -132,6 +132,17 @@ TEST(CycleAccurateProperties, RandomPointsMatchAnalytical) {
     expect_same_counters(cycle.hierarchy(), fast.hierarchy(), ctx);
     // Every MAC of the layer ran on the chain, none on masked taps.
     EXPECT_EQ(rc.stats.macs_performed, p.macs_total()) << ctx;
+    // The one cost closed form is what the register-level chain executed.
+    const dataflow::LayerCost cost = rc.plan.cost(cfg.array);
+    EXPECT_TRUE(rc.stats.kernel_load_cycles == cost.kernel_load_cycles &&
+                rc.stats.stream_cycles ==
+                    p.batch * cost.stream_cycles_per_image &&
+                rc.stats.drain_cycles == cost.drain_cycles)
+        << ctx << ": executed " << rc.stats.kernel_load_cycles << "/"
+        << rc.stats.stream_cycles << "/" << rc.stats.drain_cycles
+        << " vs cost at batch " << p.batch << " " << cost.kernel_load_cycles
+        << "/" << p.batch * cost.stream_cycles_per_image << "/"
+        << cost.drain_cycles;
     if (::testing::Test::HasFailure()) return;  // one point's report
 
     const dataflow::ExecutionPlan& plan = rc.plan;

@@ -58,8 +58,9 @@ TEST(NetworkRunner, RunsAndVerifiesTwoLayers) {
   EXPECT_EQ(res.final_activations.shape(), Shape({1, 6, 6, 6}));
   EXPECT_GT(res.total_seconds(), 0.0);
   EXPECT_GT(res.total_energy_j(), 0.0);
-  EXPECT_GT(res.kernel_load_seconds(), 0.0);
-  EXPECT_LT(res.kernel_load_seconds(), res.total_seconds());
+  EXPECT_GT(res.layers[0].run.stats.kernel_load_cycles, 0);
+  EXPECT_LT(res.layers[0].run.stats.kernel_load_cycles,
+            res.layers[0].run.stats.total_cycles());
 }
 
 TEST(NetworkRunner, FpsImprovesWithBatchAmortization) {
@@ -73,6 +74,26 @@ TEST(NetworkRunner, FpsImprovesWithBatchAmortization) {
   input.fill_random(rng, -32, 32);
   const NetworkRunResult res = runner.run(tiny_net(), input);
   EXPECT_GT(res.fps(128), res.fps(1));
+}
+
+TEST(NetworkRunner, FpsIsTheExecutedBatchTime) {
+  // fps(n) models a batch of n: kernel loads and each layer's drain once,
+  // streaming per image, exactly as a batch-n run executes it.
+  AcceleratorConfig cfg = small_cfg();
+  ChainAccelerator acc(cfg);
+  const auto model = energy::EnergyModel::paper_calibrated();
+  NetworkRunner runner(acc, model);
+  const auto run_batch = [&](std::int64_t batch) {
+    Rng rng(6);
+    Tensor<std::int16_t> input(Shape{batch, 1, 12, 12});
+    input.fill_random(rng, -32, 32);
+    return runner.run(tiny_net(), input);
+  };
+  const NetworkRunResult one = run_batch(1);
+  const NetworkRunResult two = run_batch(2);
+  const NetworkRunResult three = run_batch(3);
+  EXPECT_DOUBLE_EQ(two.fps(2), 2.0 / two.total_seconds());
+  EXPECT_DOUBLE_EQ(one.fps(3), 3.0 / three.total_seconds());
 }
 
 TEST(NetworkRunner, ChannelMismatchRejected) {

@@ -128,7 +128,7 @@ TEST(Plan, PaperModelMatchesFig9) {
         report::kFig9[i].conv_ms + report::kFig9[i].kernel_load_ms;
     const double idealized =
         plan.paper_model_seconds_per_batch(128) * 1e3;
-    const double ours = plan.seconds_per_batch(128) * 1e3;
+    const double ours = plan.cost(array).seconds(128, array.clock_hz) * 1e3;
     const double err = std::min(std::abs(idealized / paper - 1.0),
                                 std::abs(ours / paper - 1.0));
     EXPECT_LT(err, 0.17) << layers[i].name << ": idealized " << idealized

@@ -66,10 +66,14 @@ void check_plan_invariants(const nn::ConvLayerParams& layer,
   window_macs *= layer.out_channels * layer.channels_per_group();
   EXPECT_GE(window_macs, layer.macs_per_image()) << ctx;
 
-  // Cycle views consistent.
+  // Cycle views consistent: one image alone costs its load plus
+  // cycles_per_image(), and each further image adds only its streaming.
+  const LayerCost cost = plan.cost(array);
   EXPECT_GT(plan.cycles_per_image(), 0) << ctx;
-  EXPECT_EQ(plan.cycles_per_batch(1),
+  EXPECT_EQ(cost.cycles(1),
             plan.kernel_load_cycles_per_batch() + plan.cycles_per_image())
+      << ctx;
+  EXPECT_EQ(cost.cycles(3) - cost.cycles(2), plan.stream_cycles_per_image())
       << ctx;
   EXPECT_GT(plan.utilization_per_image(), 0.0) << ctx;
   EXPECT_LE(plan.utilization_per_image(), 1.0) << ctx;

@@ -82,18 +82,19 @@ TEST(PaperClaims, KernelLoadOncePerBatchAmortizes) {
   // §V.B: "our architecture can benefit from a large batch size because
   // we just load kernels once per batch".
   const auto conv3 = nn::alexnet().conv_layers[2];
-  const auto plan = dataflow::plan_layer(conv3, dataflow::ArrayShape{});
-  const double f128 =
-      128.0 / plan.seconds_per_batch(128);
-  const double f4 = 4.0 / plan.seconds_per_batch(4);
+  const dataflow::ArrayShape array;
+  const dataflow::LayerCost cost =
+      dataflow::plan_layer(conv3, array).cost(array);
+  const double f128 = 128.0 / cost.seconds(128, array.clock_hz);
+  const double f4 = 4.0 / cost.seconds(4, array.clock_hz);
   EXPECT_GT(f128, f4);  // larger batch -> higher fps
   const double load_share_128 =
-      static_cast<double>(plan.kernel_load_cycles_per_batch()) /
-      static_cast<double>(plan.cycles_per_batch(128));
+      static_cast<double>(cost.kernel_load_cycles) /
+      static_cast<double>(cost.cycles(128));
   EXPECT_LT(load_share_128, 0.02);  // ~2% at batch 128 (Fig. 9: 1.23/58.4)
   const double load_share_4 =
-      static_cast<double>(plan.kernel_load_cycles_per_batch()) /
-      static_cast<double>(plan.cycles_per_batch(4));
+      static_cast<double>(cost.kernel_load_cycles) /
+      static_cast<double>(cost.cycles(4));
   EXPECT_GT(load_share_4, 10.0 * load_share_128);
 }
 

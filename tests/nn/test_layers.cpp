@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/rng.hpp"
 
 namespace chainnn::nn {
@@ -73,6 +76,43 @@ TEST(MaxPool, FixedPointMatchesFloatOrdering) {
       std::max(in.at(0, 1, 2, 2), in.at(0, 1, 2, 3)),
       std::max(in.at(0, 1, 3, 2), in.at(0, 1, 3, 3)));
   EXPECT_EQ(out.at(0, 1, 1, 1), expect);
+}
+
+TEST(MaxPool, MatchesWindowScanOnRandomShapes) {
+  // Every output is the max over the in-bounds part of its window, read
+  // element by element — across batch/channel planes, overlapping and
+  // gapped strides, and padding that clips windows on every edge.
+  Rng rng(9);
+  for (int trial = 0; trial < 40; ++trial) {
+    PoolParams p;
+    p.window = rng.uniform_int(1, 4);
+    p.stride = rng.uniform_int(1, 4);
+    p.pad = rng.uniform_int(0, p.window - 1);
+    const std::int64_t n = rng.uniform_int(1, 2);
+    const std::int64_t c = rng.uniform_int(1, 3);
+    const std::int64_t h = p.window + rng.uniform_int(0, 7);
+    const std::int64_t w = p.window + rng.uniform_int(0, 7);
+    Tensor<std::int16_t> in(Shape{n, c, h, w});
+    in.fill_random(rng, -1000, 1000);
+    const Tensor<std::int16_t> out = max_pool(in, p);
+    ASSERT_EQ(out.shape(), Shape({n, c, p.out_size(h), p.out_size(w)}));
+    for (std::int64_t ni = 0; ni < n; ++ni)
+      for (std::int64_t ci = 0; ci < c; ++ci)
+        for (std::int64_t oy = 0; oy < p.out_size(h); ++oy)
+          for (std::int64_t ox = 0; ox < p.out_size(w); ++ox) {
+            std::int16_t best = std::numeric_limits<std::int16_t>::lowest();
+            for (std::int64_t ky = 0; ky < p.window; ++ky)
+              for (std::int64_t kx = 0; kx < p.window; ++kx) {
+                const std::int64_t iy = oy * p.stride + ky - p.pad;
+                const std::int64_t ix = ox * p.stride + kx - p.pad;
+                if (iy >= 0 && iy < h && ix >= 0 && ix < w)
+                  best = std::max(best, in.at(ni, ci, iy, ix));
+              }
+            ASSERT_EQ(out.at(ni, ci, oy, ox), best)
+                << "trial " << trial << " at " << ni << "," << ci << ","
+                << oy << "," << ox;
+          }
+  }
 }
 
 TEST(AvgPool, UniformInput) {

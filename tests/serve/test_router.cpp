@@ -108,9 +108,8 @@ TEST(Router, ModelledSecondsEqualPlanClosedForms) {
       const ChipSpec& chip = router.chips()[c];
       const std::int64_t expect_cycles =
           executed_cycles(chip.array, chip.memory, net, batch, 16);
-      EXPECT_EQ(
-          router.modelled_request_cycles(c, net, batch, 16, 16, {}).total(),
-          expect_cycles)
+      EXPECT_EQ(router.modelled_request_cycles(c, net, batch, 16, 16, {}),
+                expect_cycles)
           << chip.name << " batch " << batch;
       EXPECT_DOUBLE_EQ(
           router.modelled_request_seconds(c, net, batch, 16, 16, {}),
@@ -122,8 +121,8 @@ TEST(Router, ModelledSecondsEqualPlanClosedForms) {
   EXPECT_GT(cache->stats().lookups(), 0u);
 }
 
-TEST(Router, SharedPlanEstimateHonorsCallersNonKeyArrayFields) {
-  // dual_channel and pipeline_stages shape the cycle closed forms but
+TEST(Router, SharedPlanCostHonorsCallersNonKeyArrayFields) {
+  // dual_channel and pipeline_stages shape the cycle closed form but
   // sit outside PlanKey, so two arrays differing only there share one
   // cache entry. Costing through the shared entry must still use the
   // caller's values, not whichever array populated the entry first.
@@ -154,12 +153,10 @@ TEST(Router, SharedPlanEstimateHonorsCallersNonKeyArrayFields) {
   for (std::int64_t batch = 1; batch <= 3; ++batch) {
     const std::int64_t executed =
         executed_cycles(second, memory, net, batch, 12);
-    EXPECT_EQ(dataflow::estimate_request_cycles(*shared, second, batch).total(),
-              executed)
+    EXPECT_EQ(shared->cost(second).cycles(batch), executed)
         << "batch " << batch;
-    // And the one-argument form still matches the plan's own array.
-    EXPECT_EQ(dataflow::estimate_request_cycles(direct, batch).total(),
-              executed)
+    // And a plan built for `second` matches when costed on its own array.
+    EXPECT_EQ(direct.cost(direct.array).cycles(batch), executed)
         << "batch " << batch;
   }
 }
