@@ -40,12 +40,24 @@ using namespace chainnn;
 
 // One-image measurement on the selected engine; channels reduced so the
 // cycle-accurate run fits in a few seconds — layer geometry (H/W/K/S/
-// groups) stays full-size and the cycle count is scaled back by the
-// exact channel ratio.
+// groups) stays full-size and the executed cycles are scaled back by the
+// full/reduced plan ratio. Streaming and drain stay apart, each with its
+// own ratio: a batch streams every image but drains once, like the
+// LayerCost closed form.
 struct SimMeasurement {
-  double scaled_cycles = 0.0;
+  double scaled_stream_cycles = 0.0;  // per image
+  double scaled_drain_cycles = 0.0;   // once per batch
   double wall_ms = 0.0;
   bool bit_exact = false;
+
+  [[nodiscard]] double batch_cycles(std::int64_t batch) const {
+    return static_cast<double>(batch) * scaled_stream_cycles +
+           scaled_drain_cycles;
+  }
+  [[nodiscard]] bool same_cycles(const SimMeasurement& o) const {
+    return scaled_stream_cycles == o.scaled_stream_cycles &&
+           scaled_drain_cycles == o.scaled_drain_cycles;
+  }
 };
 
 SimMeasurement simulate_layer(const nn::ConvLayerParams& full,
@@ -75,15 +87,21 @@ SimMeasurement simulate_layer(const nn::ConvLayerParams& full,
   m.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   m.bit_exact = res.accumulators == nn::conv2d_fixed_accum(p, x, w);
   // Cycles scale with channels streamed (c) and with m-groups; recover
-  // the full-size count through the plan ratio.
-  const auto plan_full = acc.plan(full);
-  const auto plan_small = res.plan;
-  const double ratio =
-      static_cast<double>(plan_full.cycles_per_image()) /
-      static_cast<double>(plan_small.cycles_per_image());
-  m.scaled_cycles =
-      static_cast<double>(res.stats.stream_cycles + res.stats.drain_cycles) *
-      ratio;
+  // the full-size counts through the plan ratios.
+  const dataflow::LayerCost full_cost = acc.plan(full).cost(cfg.array);
+  const dataflow::LayerCost small_cost = res.plan.cost(cfg.array);
+  const auto scaled = [](std::int64_t executed, std::int64_t full_cycles,
+                         std::int64_t small_cycles) {
+    return small_cycles == 0 ? 0.0
+                             : static_cast<double>(executed) *
+                                   static_cast<double>(full_cycles) /
+                                   static_cast<double>(small_cycles);
+  };
+  m.scaled_stream_cycles =
+      scaled(res.stats.stream_cycles, full_cost.stream_cycles_per_image,
+             small_cost.stream_cycles_per_image);
+  m.scaled_drain_cycles = scaled(res.stats.drain_cycles,
+                                 full_cost.drain_cycles, small_cost.drain_cycles);
   return m;
 }
 
@@ -125,15 +143,14 @@ bool print_fig9(chain::ExecMode mode, bool compare) {
           simulate_layer(layer, chain::ExecMode::kCycleAccurate);
       wall_analytical_ms += fast.wall_ms;
       wall_cycle_ms += slow.wall_ms;
-      cycles_identical =
-          cycles_identical && fast.scaled_cycles == slow.scaled_cycles;
+      cycles_identical = cycles_identical && fast.same_cycles(slow);
       sim = fast;
       sim.bit_exact = fast.bit_exact && slow.bit_exact;
     } else {
       sim = simulate_layer(layer, mode);
     }
     all_bit_exact = all_bit_exact && sim.bit_exact;
-    const double sim_ms = sim.scaled_cycles * batch / array.clock_hz * 1e3;
+    const double sim_ms = sim.batch_cycles(batch) / array.clock_hz * 1e3;
 
     t.add_row({layer.name, strings::fmt_fixed(report::kFig9[i].conv_ms, 2),
                strings::fmt_fixed(report::kFig9[i].kernel_load_ms, 2),

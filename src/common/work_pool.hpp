@@ -22,8 +22,8 @@
 //     waiter first drains its own batch (the wait graph is a DAG by
 //     nesting depth).
 //   * submit_blocking() is the lane for tasks that may block for
-//     arbitrary stretches (an InferenceServer drain parked on a user
-//     hook or a deliberately slow request). Such a task must never
+//     arbitrary stretches (an InferenceServer drain parked in an
+//     observer or a deliberately slow request). Such a task must never
 //     occupy one of the fixed stealing workers — on a small host that
 //     starves every compute shard behind it — so the blocking lane runs
 //     on cached threads grown on demand: a submit reuses a parked

@@ -17,6 +17,66 @@ double FleetStats::modelled_makespan_seconds() const {
   return makespan;
 }
 
+namespace {
+
+// Resume-aware backlog accounting: a preemption retires the modelled
+// seconds of the layers already completed, and completion retires only
+// the remainder — together exactly modelled_seconds, never more, so a
+// request that is preempted and then cancelled is not double-retracted
+// (the clamp guards float dust, not logic).
+class BacklogRetirement final : public RequestObserver {
+ public:
+  BacklogRetirement(Router& router, std::size_t chip)
+      : router_(router), chip_(chip) {}
+  void preempt(const RequestRef&, double retired_seconds,
+               const chain::RunCheckpoint&) override {
+    router_.complete(chip_, retired_seconds);
+  }
+  void complete(const InferenceResult& r) override {
+    router_.complete(chip_, std::max(0.0, r.modelled_seconds -
+                                              r.modelled_seconds_retired));
+  }
+
+ private:
+  Router& router_;
+  std::size_t chip_;
+};
+
+// Journals every banked checkpoint, so a crash between a preemption and
+// the eventual completion resumes from the banked layer prefix, and
+// every terminal record. Installed after BacklogRetirement, and the
+// server fires `complete` before the future resolves, so a log with a
+// terminal record never describes a request a caller has not yet been
+// able to observe as done.
+class JournalRecords final : public RequestObserver {
+ public:
+  JournalRecords(std::shared_ptr<Journal> journal, std::string chip)
+      : journal_(std::move(journal)), chip_(std::move(chip)) {}
+  void preempt(const RequestRef& req, double,
+               const chain::RunCheckpoint& cp) override {
+    if (req.tag != 0)
+      journal_->append(encode_checkpoint_payload(req.tag, chip_, cp));
+  }
+  void complete(const InferenceResult& r) override {
+    // Rejections are journaled at submit, not here.
+    if (r.tag == 0 || r.status == RequestStatus::kRejected) return;
+    if (r.status == RequestStatus::kOk) {
+      journal_->append(encode_complete(r.tag));
+      return;
+    }
+    journal_->append(encode_cancel(
+        r.tag, r.status == RequestStatus::kFailed ? CancelReason::kFailed
+               : r.deadline_expired               ? CancelReason::kDeadline
+                                                  : CancelReason::kToken));
+  }
+
+ private:
+  std::shared_ptr<Journal> journal_;
+  std::string chip_;
+};
+
+}  // namespace
+
 Fleet::Fleet(FleetOptions options)
     : opts_(std::move(options)),
       cache_(opts_.plan_cache ? opts_.plan_cache
@@ -28,7 +88,6 @@ Fleet::Fleet(FleetOptions options)
   router_ = std::make_unique<Router>(opts_.chips, cache_);
 
   servers_.reserve(opts_.chips.size());
-  Router* router = router_.get();
   for (std::size_t c = 0; c < opts_.chips.size(); ++c) {
     const ChipSpec& chip = opts_.chips[c];
     ServerOptions so;
@@ -47,52 +106,16 @@ Fleet::Fleet(FleetOptions options)
     // stride keeps chip streams disjoint for any realistic id range).
     so.input_seed =
         opts_.input_seed + 0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(c + 1);
-    // Resume-aware backlog accounting: a preemption retires the modelled
-    // seconds of the layers already completed, and the completion hook
-    // retires only the remainder — together exactly modelled_seconds,
-    // never more, so a request that is preempted and then cancelled is
-    // not double-retracted (the clamp guards float dust, not logic).
-    so.preemption_hook = [router, c](std::int64_t, double retired_seconds) {
-      router->complete(c, retired_seconds);
-    };
-    // The raw Journal pointer in the hooks is safe: opts_ (and its
-    // journal shared_ptr) outlives servers_ — members destroy in
-    // reverse declaration order, and ~InferenceServer joins its drains.
-    Journal* journal = opts_.journal.get();
-    so.completion_hook = [router, c, journal](const InferenceResult& r) {
-      router->complete(c, std::max(0.0, r.modelled_seconds -
-                                            r.modelled_seconds_retired));
-      // Terminal record *after* the backlog retire and *before* the
-      // future resolves (the server fires this hook first), so a log
-      // with a terminal record never describes a request a caller has
-      // not yet been able to observe as done.
-      if (journal && r.tag != 0) {
-        switch (r.status) {
-          case RequestStatus::kOk:
-            journal->append(encode_complete(r.tag));
-            break;
-          case RequestStatus::kCancelled:
-            journal->append(encode_cancel(r.tag,
-                                          r.deadline_expired
-                                              ? CancelReason::kDeadline
-                                              : CancelReason::kToken));
-            break;
-          case RequestStatus::kFailed:
-            journal->append(encode_cancel(r.tag, CancelReason::kFailed));
-            break;
-          case RequestStatus::kRejected:
-            break;  // rejections are journaled at submit, not here
-        }
-      }
-    };
-    if (journal) {
-      const std::string chip_name = chip.name;
-      so.checkpoint_hook = [journal, chip_name](
-                               std::uint64_t tag,
-                               const chain::RunCheckpoint& cp) {
-        journal->append(encode_checkpoint_payload(tag, chip_name, cp));
-      };
-    }
+    // Backlog credit first, then the journal: a replay from a journaled
+    // checkpoint observes the same accounting order. The router outlives
+    // servers_ (members destroy in reverse declaration order, and
+    // ~InferenceServer joins its drains).
+    so.observers.push_back(std::make_shared<BacklogRetirement>(*router_, c));
+    if (opts_.journal)
+      so.observers.push_back(
+          std::make_shared<JournalRecords>(opts_.journal, chip.name));
+    so.observers.insert(so.observers.end(), opts_.observers.begin(),
+                        opts_.observers.end());
     servers_.push_back(std::make_unique<InferenceServer>(std::move(so)));
   }
 }
@@ -156,7 +179,7 @@ std::future<InferenceResult> Fleet::submit(nn::NetworkModel net,
                                            Tensor<std::int16_t> input,
                                            RequestOptions options) {
   // Mirror InferenceServer::submit's request validation *before* routing:
-  // a dispatch charges the chip's backlog, and only the completion hook
+  // a dispatch charges the chip's backlog, and only the `complete` event
   // retires it, so a request rejected after routing must be retracted.
   CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
                     "cannot serve an empty network");
@@ -176,7 +199,7 @@ std::future<InferenceResult> Fleet::submit(nn::NetworkModel net,
                                            std::move(options));
   } catch (...) {
     router_->retract(decision);
-    // The enqueue never happened, so no completion hook will ever write
+    // The enqueue never happened, so no `complete` event will ever write
     // a terminal record — close the SUBMIT out here or a recovery would
     // replay a request whose submitter saw an exception.
     if (opts_.journal && tag != 0)

@@ -51,10 +51,10 @@ struct FleetOptions {
   // Preemptive scheduling on every chip server (see
   // ServerOptions::enable_preemption): a strictly-higher-priority
   // arrival checkpoints the running lower-tier request at its next layer
-  // boundary. The fleet wires the per-chip preemption hooks so a
-  // preempted request's completed layers are retired from the chip's
-  // modelled backlog immediately ("resume-aware backlog accounting") and
-  // the completion hook retires only the remainder.
+  // boundary. The fleet's per-chip observer retires a preempted
+  // request's completed layers from the chip's modelled backlog
+  // immediately ("resume-aware backlog accounting") and retires only the
+  // remainder at completion.
   bool preemption = false;
   // Fleet-wide plan cache; nullptr creates a fleet-owned one.
   std::shared_ptr<PlanCache> plan_cache;
@@ -70,6 +70,10 @@ struct FleetOptions {
   // record are done, the rest are replayed — from their last journaled
   // checkpoint when one exists. nullptr = no journaling (zero overhead).
   std::shared_ptr<Journal> journal;
+  // Extra observers installed on every chip server, after the fleet's
+  // own backlog and journal observers. Request ids in their events are
+  // per chip; RequestRef::tag is fleet-wide when journaling.
+  std::vector<std::shared_ptr<RequestObserver>> observers;
 };
 
 struct FleetChipStats {
@@ -244,7 +248,7 @@ class Fleet {
   std::atomic<std::int64_t> recovered_{0};
   std::atomic<std::int64_t> handoffs_{0};
   // Destruction order matters: the chip servers' worker threads call the
-  // router from their completion and preemption hooks, so router_ must
+  // router from their backlog observers, so router_ must
   // outlive servers_ (members are destroyed in reverse declaration
   // order).
   std::unique_ptr<Router> router_;

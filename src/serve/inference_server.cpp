@@ -62,17 +62,10 @@ bool network_runs_identical(const chain::NetworkRunResult& a,
   }
   if (!(a.final_activations == b.final_activations))
     return fail("final activations differ");
-  // Whole-run rollups: LayerTraffic totals and the energy/time figures.
-  // Per-layer identity already implies these, but the rollups are what
-  // dashboards and sweeps actually read, so pin them directly too.
-  std::uint64_t traffic_a = 0, traffic_b = 0;
-  for (const auto& l : a.layers)
-    traffic_a += l.run.traffic.dram_bytes + l.run.traffic.imemory_bytes +
-                 l.run.traffic.kmemory_bytes + l.run.traffic.omemory_bytes;
-  for (const auto& l : b.layers)
-    traffic_b += l.run.traffic.dram_bytes + l.run.traffic.imemory_bytes +
-                 l.run.traffic.kmemory_bytes + l.run.traffic.omemory_bytes;
-  if (traffic_a != traffic_b) return fail("traffic rollup differs");
+  // Whole-run energy/time rollups: per-layer identity already implies
+  // them, but they are what dashboards and sweeps actually read, so pin
+  // them directly too. (Traffic totals are integer sums of the per-layer
+  // bytes compared above, so they cannot differ on their own.)
   if (a.total_energy_j() != b.total_energy_j())
     return fail("energy rollup differs");
   if (a.total_seconds() != b.total_seconds())
@@ -93,14 +86,32 @@ struct InferenceServer::Task {
   // Set while the request sits in the queue preempted: the next pickup
   // resumes from here instead of starting over.
   std::shared_ptr<chain::RunCheckpoint> checkpoint;
-  // Modelled seconds already credited through preemption_hook for the
-  // checkpointed layers; caps further credit and is echoed on the result
-  // so completion hooks retire only the remainder.
+  // Modelled seconds already credited through RequestObserver::preempt
+  // for the checkpointed layers; caps further credit and is echoed on the
+  // result so a completion observer retires only the remainder.
   double modelled_retired = 0.0;
   std::int64_t preempt_count = 0;
   // Execution wall milliseconds of earlier, preempted attempts: the
   // final result's wall_ms covers every attempt, not just the last.
   double wall_ms_accum = 0.0;
+
+  [[nodiscard]] RequestRef ref() const { return {id, options.tag}; }
+  // A result carrying only the request's identity and its accounting
+  // so far (banked layers, earlier attempts' wall time): the start of
+  // every outcome, and the whole of a kFailed one.
+  [[nodiscard]] InferenceResult stub(const std::string& chip) const {
+    InferenceResult r;
+    r.request_id = id;
+    r.tag = options.tag;
+    r.chip = chip;
+    r.modelled_seconds = options.modelled_seconds;
+    r.modelled_seconds_retired = modelled_retired;
+    r.preemptions = preempt_count;
+    r.completed_layers =
+        checkpoint ? static_cast<std::int64_t>(checkpoint->layers.size()) : 0;
+    r.wall_ms = wall_ms_accum;
+    return r;
+  }
 
   // Heap order (std::push_heap keeps the max on top, so "less" means
   // "scheduled later"): lower priority tier first loses; within a tier
@@ -139,7 +150,27 @@ struct InferenceServer::State {
   // checkpoint it will immediately resume.
   std::int64_t yielding CHAINNN_GUARDED_BY(mu) = 0;
   ServerStats stats CHAINNN_GUARDED_BY(mu);  // plan_cache filled on read
+
+  // Queues the task and schedules drains of `server` up to its cap.
+  void push(Task&& task, InferenceServer* server) CHAINNN_REQUIRES(mu);
 };
+
+void InferenceServer::State::push(Task&& task, InferenceServer* server) {
+  queue.push_back(std::move(task));
+  std::push_heap(queue.begin(), queue.end(), Task::scheduled_after);
+  stats.peak_queue_depth = std::max(
+      stats.peak_queue_depth, static_cast<std::int64_t>(queue.size()));
+  // The demand is the queued tasks plus the ones drains are already
+  // executing (each in-flight request occupies one drain), so a second
+  // drain spins up for a task that arrives while the first is mid-run.
+  const std::int64_t demand =
+      static_cast<std::int64_t>(queue.size()) + in_flight;
+  while (scheduled_drains < std::min(server->opts_.num_threads, demand)) {
+    ++scheduled_drains;
+    common::WorkPool::shared().submit_blocking(
+        [server] { server->drain_loop(); });
+  }
+}
 
 InferenceServer::InferenceServer(ServerOptions options)
     : opts_(std::move(options)),
@@ -170,21 +201,9 @@ InferenceServer::~InferenceServer() {
 std::future<InferenceResult> InferenceServer::submit(
     nn::NetworkModel net, Tensor<std::int16_t> input,
     RequestOptions options) {
-  CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
-                    "cannot serve an empty network");
   CHAINNN_CHECK(input.shape().rank() == 4);
-  CHAINNN_CHECK_MSG(options.num_workers >= 1,
-                    "num_workers must be >= 1, got " << options.num_workers);
-
-  Task task;
-  task.id = allocate_id();
-  task.net = std::move(net);
+  Task task = make_task(std::move(net), std::move(options));
   task.input = std::move(input);
-  task.options = std::move(options);
-  // A recovered checkpoint enters through the same banked-checkpoint
-  // slot a live preemption uses, so the resume path downstream is
-  // identical (execute_request adopts the prefix, is_resume counts it).
-  task.checkpoint = std::move(task.options.resume);
   return enqueue(std::move(task));
 }
 
@@ -192,42 +211,48 @@ std::future<InferenceResult> InferenceServer::submit(
     const nn::NetworkModel& net, std::int64_t batch,
     RequestOptions options) {
   CHAINNN_CHECK_MSG(batch >= 1, "batch must be >= 1, got " << batch);
-  CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
-                    "cannot serve an empty network");
-  CHAINNN_CHECK_MSG(options.num_workers >= 1,
-                    "num_workers must be >= 1, got " << options.num_workers);
   // The id is claimed before the input is generated, so the input is a
   // pure function of (input_seed, request_id) even under concurrent
   // submitters — a logged divergence can be reproduced offline from the
   // id alone.
-  Task task;
-  task.id = allocate_id();
-  const nn::ConvLayerParams& first = net.conv_layers.front();
+  Task task = make_task(net, std::move(options));
+  const nn::ConvLayerParams& first = task.net.conv_layers.front();
   task.input = Tensor<std::int16_t>(
       Shape{batch, first.in_channels, first.in_height, first.in_width});
   // Rng SplitMix64-expands its seed, so the xor'd id is enough to
   // decorrelate per-request streams.
   Rng rng(opts_.input_seed ^ static_cast<std::uint64_t>(task.id));
   task.input.fill_random(rng, -64, 64);
-  task.net = net;
-  task.options = std::move(options);
-  task.checkpoint = std::move(task.options.resume);
   return enqueue(std::move(task));
 }
 
-std::int64_t InferenceServer::allocate_id() {
+InferenceServer::Task InferenceServer::make_task(nn::NetworkModel net,
+                                                 RequestOptions options) {
+  CHAINNN_CHECK_MSG(!net.conv_layers.empty(),
+                    "cannot serve an empty network");
+  CHAINNN_CHECK_MSG(options.num_workers >= 1,
+                    "num_workers must be >= 1, got " << options.num_workers);
+  Task task;
+  task.net = std::move(net);
+  task.options = std::move(options);
+  // A recovered checkpoint enters through the same banked-checkpoint
+  // slot a live preemption uses, so the resume path downstream is
+  // identical (execute_request adopts the prefix, is_resume counts it).
+  task.checkpoint = std::move(task.options.resume);
   MutexLock lock(state_->mu);
-  return ++state_->next_id;
+  task.id = ++state_->next_id;
+  return task;
 }
 
 std::future<InferenceResult> InferenceServer::enqueue(Task&& task) {
-  task.enqueued = Clock::now();
+  task.enqueued = opts_.clock();
   if (task.options.deadline_ms)
     task.deadline =
         task.enqueued + std::chrono::duration_cast<Clock::duration>(
                             std::chrono::duration<double, std::milli>(
                                 *task.options.deadline_ms));
   std::future<InferenceResult> future = task.promise.get_future();
+  const RequestRef ref = task.ref();
   {
     MutexLock lock(state_->mu);
     // Explicit wait loop (not a predicate lambda) so the guarded reads
@@ -236,23 +261,9 @@ std::future<InferenceResult> InferenceServer::enqueue(Task&& task) {
            opts_.max_queue)
       state_->space_ready.wait(state_->mu);
     ++state_->stats.submitted;
-    state_->queue.push_back(std::move(task));
-    std::push_heap(state_->queue.begin(), state_->queue.end(),
-                   Task::scheduled_after);
-    state_->stats.peak_queue_depth =
-        std::max(state_->stats.peak_queue_depth,
-                 static_cast<std::int64_t>(state_->queue.size()));
-    // Schedule drains up to the concurrency cap. The demand is the
-    // queued tasks plus the ones drains are already executing (each
-    // in-flight request occupies one drain), so a second drain spins up
-    // for a task that arrives while the first is mid-run.
-    const std::int64_t demand =
-        static_cast<std::int64_t>(state_->queue.size()) + state_->in_flight;
-    while (state_->scheduled_drains < std::min(opts_.num_threads, demand)) {
-      ++state_->scheduled_drains;
-      common::WorkPool::shared().submit_blocking([this] { drain_loop(); });
-    }
+    state_->push(std::move(task), this);
   }
+  for (const auto& o : opts_.observers) o->enqueue(ref);
   return future;
 }
 
@@ -294,11 +305,7 @@ chain::NetworkRunResult InferenceServer::run_network(
 }
 
 std::optional<InferenceResult> InferenceServer::execute_request(Task& task) {
-  InferenceResult out;
-  out.request_id = task.id;
-  out.tag = task.options.tag;
-  out.chip = opts_.name;
-  out.modelled_seconds = task.options.modelled_seconds;
+  InferenceResult out = task.stub(opts_.name);
   out.resumed = task.checkpoint != nullptr;
   // The layers a previous attempt already banked; credit for this
   // attempt's preemption counts only layers beyond them.
@@ -313,30 +320,32 @@ std::optional<InferenceResult> InferenceServer::execute_request(Task& task) {
   // Cancellation applies to the primary run only: a fidelity replay
   // exists to cross-check a result that was already produced, so
   // interrupting it would only manufacture false divergences.
-  const std::optional<Clock::time_point> deadline = task.deadline;
-  const std::shared_ptr<std::atomic<bool>> token = task.options.cancel;
   // The cancel decision and its classification (deadline vs token) must
-  // come from the same Clock::now() sample: re-sampling at the catch
-  // site would let a token-cancelled request be re-classified
-  // deadline_expired when the deadline passes between the check and the
-  // catch. The deadline is tested first — when both causes hold at the
-  // same instant, the deadline wins (the classification the scheduling
-  // oracle in test_sched_properties expects).
+  // come from the same clock sample: re-sampling at the catch site would
+  // let a token-cancelled request be re-classified deadline_expired when
+  // the deadline passes between the check and the catch. The deadline is
+  // tested first — when both causes hold at the same instant, the
+  // deadline wins (the classification the scheduling oracle in
+  // test_sched_properties expects). A boundary the run survives is
+  // reported to the observers before the preemption poll runs.
   bool deadline_caused_cancel = false;
-  std::function<bool()> cancel_check;
-  if (deadline || token)
-    cancel_check = [deadline, token, &deadline_caused_cancel] {
-      const auto now = Clock::now();
-      if (deadline && now > *deadline) {
-        deadline_caused_cancel = true;
-        return true;
-      }
-      if (token && token->load(std::memory_order_relaxed)) {
-        deadline_caused_cancel = false;
-        return true;
-      }
-      return false;
-    };
+  std::int64_t next_layer = static_cast<std::int64_t>(banked);
+  const std::function<bool()> cancel_check = [&] {
+    const auto now = opts_.clock();
+    if (task.deadline && now > *task.deadline) {
+      deadline_caused_cancel = true;
+      return true;
+    }
+    if (task.options.cancel &&
+        task.options.cancel->load(std::memory_order_relaxed)) {
+      deadline_caused_cancel = false;
+      return true;
+    }
+    for (const auto& o : opts_.observers)
+      o->layer_boundary(task.ref(), next_layer);
+    ++next_layer;
+    return false;
+  };
   // Preemption: yield at the next layer boundary when a strictly-higher
   // tier is waiting. The queue is a max-heap, so its front is the next
   // request a free worker would take — but yields are capped at the
@@ -349,6 +358,7 @@ std::optional<InferenceResult> InferenceServer::execute_request(Task& task) {
   std::function<bool()> preempt_check;
   if (opts_.enable_preemption)
     preempt_check = [this, pri = task.options.priority] {
+      const auto now = opts_.clock();  // sampled outside the server lock
       MutexLock lock(state_->mu);
       // Fast path: the heap front is the highest-priority waiter, so a
       // front at or below this tier means nothing could preempt.
@@ -359,7 +369,6 @@ std::optional<InferenceResult> InferenceServer::execute_request(Task& task) {
       // cancel token is already set or whose deadline has already passed
       // resolves at pickup without touching the chip, so checkpointing a
       // healthy run to make room for it would be pure wasted work.
-      const auto now = Clock::now();
       std::int64_t higher = 0;
       for (const Task& queued : state_->queue) {
         if (queued.options.priority <= pri) continue;
@@ -374,7 +383,7 @@ std::optional<InferenceResult> InferenceServer::execute_request(Task& task) {
       return true;
     };
 
-  const auto t0 = Clock::now();
+  const auto t0 = opts_.clock();
   out.queue_ms = ms_between(task.enqueued, t0);
   try {
     out.run = run_network(cfg, task, cancel_check, preempt_check,
@@ -385,22 +394,22 @@ std::optional<InferenceResult> InferenceServer::execute_request(Task& task) {
     out.status = RequestStatus::kCancelled;
     out.completed_layers = cancelled.completed_layers();
     // Classified by the cancel_check sample that aborted the run, not a
-    // fresh Clock::now() — exactly one terminal deadline classification
+    // fresh clock sample — exactly one terminal deadline classification
     // per request.
     out.deadline_expired = deadline_caused_cancel;
     out.run = chain::NetworkRunResult{};
   } catch (const chain::RunPreempted& preempted) {
     // The yield committed by preempt_check is complete: release the
-    // slot here — before the user-supplied hook below runs — so a
-    // throwing preemption_hook cannot leak the counter and silently
-    // disable preemption for the rest of the server's life.
+    // slot here — before the observers below run — so a throwing
+    // observer cannot leak the counter and silently disable preemption
+    // for the rest of the server's life.
     {
       MutexLock lock(state_->mu);
       --state_->yielding;
     }
     // This attempt's execution time must survive the re-enqueue, or the
     // final result's wall_ms would only cover the last attempt.
-    task.wall_ms_accum += ms_between(t0, Clock::now());
+    task.wall_ms_accum += ms_between(t0, opts_.clock());
     // Bank the checkpoint on the task and retire the modelled seconds of
     // the layers this attempt newly completed — capped so cumulative
     // credit never exceeds what the router charged at dispatch (a later
@@ -416,18 +425,14 @@ std::optional<InferenceResult> InferenceServer::execute_request(Task& task) {
     task.modelled_retired += retired;
     task.checkpoint = cp;
     ++task.preempt_count;
-    if (opts_.preemption_hook) opts_.preemption_hook(task.id, retired);
-    // Journal the banked prefix (after the backlog credit, so a replay
-    // from this checkpoint observes the same accounting order).
-    if (opts_.checkpoint_hook && task.options.tag != 0)
-      opts_.checkpoint_hook(task.options.tag, *cp);
+    for (const auto& o : opts_.observers)
+      o->preempt(task.ref(), retired, *cp);
     return std::nullopt;
   }
-  out.preemptions = task.preempt_count;
-  out.modelled_seconds_retired = task.modelled_retired;
-  const auto t1 = Clock::now();
+  const auto t1 = opts_.clock();
   out.wall_ms = task.wall_ms_accum + ms_between(t0, t1);
-  if (out.status == RequestStatus::kOk && deadline && t1 > *deadline)
+  if (out.status == RequestStatus::kOk && task.deadline &&
+      t1 > *task.deadline)
     out.deadline_missed = true;
 
   const std::int64_t n = opts_.fidelity_sample_every_n;
@@ -440,8 +445,7 @@ std::optional<InferenceResult> InferenceServer::execute_request(Task& task) {
                                ? chain::ExecMode::kCycleAccurate
                                : chain::ExecMode::kAnalytical;
     chain::NetworkRunResult replay = run_network(replay_cfg, task, {});
-    if (opts_.fidelity_mutator_for_test)
-      opts_.fidelity_mutator_for_test(task.id, replay);
+    for (const auto& o : opts_.observers) o->fidelity(task.ref(), replay);
     out.fidelity.sampled = true;
     out.fidelity.diverged =
         !network_runs_identical(out.run, replay, &out.fidelity.detail);
@@ -472,18 +476,19 @@ void InferenceServer::drain_loop() {
     ++state_->in_flight;
     lock.Unlock();
     state_->space_ready.notify_one();
+    for (const auto& o : opts_.observers) o->pickup(task.ref());
 
     // A request already past its deadline (or cancelled) when it reaches
     // the front — including a deadline in the past at submit, and a
     // checkpointed request cancelled before its resume — resolves
     // kCancelled without touching the execution stack (the checkpointed
     // layers still count as completed work on the result).
-    // One Clock::now() sample decides both whether the request is dead
-    // on arrival and how the cancellation is classified: a token-set
+    // One clock sample decides both whether the request is dead on
+    // arrival and how the cancellation is classified: a token-set
     // request whose deadline passes between two separate samples must
     // not flip to deadline_expired. Deadline wins when both causes hold
     // at the sampled instant (matching the mid-run classification).
-    const auto pickup_now = Clock::now();
+    const auto pickup_now = opts_.clock();
     const bool deadline_dead_on_arrival =
         task.deadline && pickup_now > *task.deadline;
     const bool dead_on_arrival =
@@ -496,23 +501,13 @@ void InferenceServer::drain_loop() {
     std::exception_ptr error;
     bool preempted = false;
     if (dead_on_arrival) {
-      result.request_id = task.id;
-      result.tag = task.options.tag;
-      result.chip = opts_.name;
-      result.modelled_seconds = task.options.modelled_seconds;
-      result.modelled_seconds_retired = task.modelled_retired;
-      result.preemptions = task.preempt_count;
-      result.completed_layers =
-          task.checkpoint
-              ? static_cast<std::int64_t>(task.checkpoint->layers.size())
-              : 0;
+      // The stub keeps the checkpointed layers as completed work and
+      // the wall time of earlier attempts: wall_ms covers every
+      // execution attempt, even one cancelled at pickup.
+      result = task.stub(opts_.name);
       result.status = RequestStatus::kCancelled;
       result.deadline_expired = deadline_dead_on_arrival;
       result.queue_ms = ms_between(task.enqueued, pickup_now);
-      // A preempted request cancelled at pickup already executed (and
-      // banked) attempts; dropping them would break the invariant that
-      // wall_ms covers every execution attempt.
-      result.wall_ms = task.wall_ms_accum;
     } else {
       try {
         std::optional<InferenceResult> maybe = execute_request(task);
@@ -526,33 +521,20 @@ void InferenceServer::drain_loop() {
       }
     }
 
+    // Restart a preempted request's queue clock: queue_ms on the final
+    // attempt measures the wait since this re-enqueue, not the request's
+    // own earlier execution time (which wall_ms_accum already carries).
+    if (preempted) task.enqueued = opts_.clock();
     lock.Lock();
     if (is_resume) ++state_->stats.resumes;
     if (preempted) {
       // Give the checkpointed request its queue slot back (bypassing
       // backpressure — a drain cannot block on its own submit gate).
       ++state_->stats.preemptions;
-      // Restart the queue clock: queue_ms on the final attempt measures
-      // the wait since this re-enqueue, not the request's own earlier
-      // execution time (which wall_ms_accum already carries).
-      task.enqueued = Clock::now();
-      state_->queue.push_back(std::move(task));
-      std::push_heap(state_->queue.begin(), state_->queue.end(),
-                     Task::scheduled_after);
-      state_->stats.peak_queue_depth =
-          std::max(state_->stats.peak_queue_depth,
-                   static_cast<std::int64_t>(state_->queue.size()));
       --state_->in_flight;
-      // The queue just grew: top drains back up to the cap (this drain
+      // The queue grows, so drains top back up to the cap (this drain
       // continues — by now it may pick up the urgent request itself).
-      const std::int64_t demand =
-          static_cast<std::int64_t>(state_->queue.size()) +
-          state_->in_flight;
-      while (state_->scheduled_drains <
-             std::min(opts_.num_threads, demand)) {
-        ++state_->scheduled_drains;
-        common::WorkPool::shared().submit_blocking([this] { drain_loop(); });
-      }
+      state_->push(std::move(task), this);
       continue;
     }
     if (error) {
@@ -574,34 +556,25 @@ void InferenceServer::drain_loop() {
     }
     lock.Unlock();
     // Fulfill outside the lock: future continuations must not run under
-    // the server mutex. The hook runs *before* the promise resolves, so
-    // by the time a caller observes the result the routed backlog has
-    // already been retired (and test observers have recorded the
-    // completion).
-    if (opts_.completion_hook) {
-      if (error) {
-        // The promise carries the error; the hook still needs the id
-        // and routed accounting to retire the request.
-        InferenceResult failed;
-        failed.request_id = task.id;
-        failed.tag = task.options.tag;
-        failed.chip = opts_.name;
-        failed.modelled_seconds = task.options.modelled_seconds;
-        failed.modelled_seconds_retired = task.modelled_retired;
-        failed.status = RequestStatus::kFailed;
-        opts_.completion_hook(failed);
-      } else {
-        opts_.completion_hook(result);
-      }
+    // the server mutex. Observers see the outcome *before* the promise
+    // resolves, so by the time a caller observes the result the routed
+    // backlog has already been retired. A request that threw still
+    // reports its identity and routed accounting (the promise carries
+    // the error).
+    if (error) {
+      result = task.stub(opts_.name);
+      result.status = RequestStatus::kFailed;
     }
+    for (const auto& o : opts_.observers) o->complete(result);
     if (error) {
       task.promise.set_exception(error);
     } else {
       task.promise.set_value(std::move(result));
     }
-    // The request only stops counting as in-flight once its hook has run
-    // and its future resolved, so wait_idle() => every hook has fired
-    // (the Fleet relies on this to read fully-retired backlogs).
+    // The request only stops counting as in-flight once its observers
+    // have run and its future resolved, so wait_idle() => every
+    // `complete` has fired (the Fleet relies on this to read
+    // fully-retired backlogs).
     lock.Lock();
     --state_->in_flight;
     if (state_->queue.empty() && state_->in_flight == 0)

@@ -3,7 +3,7 @@
 //
 // submit(network, input | batch, options) returns a std::future; drain
 // tasks on the process-wide common::WorkPool (its blocking lane — a
-// request may park on a user hook for arbitrarily long) drain a bounded
+// request may park in an observer for arbitrarily long) drain a bounded
 // queue (submit blocks when the queue is full — backpressure, not
 // drops). The server owns no threads: a drain task is scheduled
 // whenever the queue grows and fewer than num_threads are live, runs
@@ -50,9 +50,30 @@
 // rollups must be bit-identical (the PR-2 equivalence guarantee, now
 // continuously monitored in production traffic).
 // Divergences are recorded in ServerStats and flagged on the result.
+//
+// Observers: every ServerOptions::observers entry sees each request's
+// lifecycle as one event stream, fired on the thread doing the work and
+// always outside the server lock:
+//   enqueue        — the request is in the queue (a drain may already
+//                    have picked it up);
+//   pickup         — a drain took it off the queue, once per attempt,
+//                    before the pickup instant is sampled;
+//   layer_boundary — the run passed the cancellation poll before conv
+//                    layer `layer` and has not yet polled preemption;
+//   preempt        — the run was checkpointed, with the modelled seconds
+//                    it newly retires and the banked checkpoint;
+//   fidelity       — the replay on the other engine, before the
+//                    cross-check (mutable, so a test can inject a
+//                    divergence);
+//   complete       — the terminal outcome, for every status.
+// Observers fire in vector order, so the Fleet's backlog credit for a
+// preemption precedes the journaled checkpoint. `complete` fires before
+// the future resolves, and wait_idle() returns only after every
+// `complete` has fired.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -81,13 +102,14 @@ namespace chainnn::serve {
 // Terminal state of a request. Futures only ever resolve with kOk,
 // kCancelled or kRejected (errors resolve the future with the exception
 // instead); kFailed appears solely on the InferenceResult handed to
-// ServerOptions::completion_hook for a request that threw.
+// RequestObserver::complete for a request that threw.
 enum class RequestStatus {
   kOk,         // ran to completion
   kCancelled,  // deadline passed or cancel token set before/mid-run
   kRejected,   // admission control refused it at submit (Fleet only);
                // the request never reached a server queue or executed
-  kFailed,     // request threw (hook-only; the promise carries the error)
+  kFailed,     // request threw (observer-only; the promise carries the
+               // error)
 };
 
 struct RequestOptions {
@@ -120,15 +142,16 @@ struct RequestOptions {
   // request never executes.
   bool admission = false;
   // Modelled execution seconds, stamped by the Fleet router when it
-  // dispatches the request; echoed back on InferenceResult so completion
-  // hooks can retire the backlog they admitted. Informational here.
+  // dispatches the request; echoed back on InferenceResult so a
+  // completion observer can retire the backlog it admitted.
+  // Informational here.
   double modelled_seconds = 0.0;
   // Fleet-wide durable id, stamped by Fleet::submit when the fleet
   // journals (0 = not journaled). Unlike request_id — which is
   // per-server and restarts from 1 with the process — the tag is unique
   // across chips and across restarts, so journal records written before
   // a crash still identify requests replayed after it. Echoed on
-  // InferenceResult and passed to every journal-facing hook.
+  // InferenceResult and on every observer event (RequestRef::tag).
   std::uint64_t tag = 0;
   // Resume this request from a recovered checkpoint instead of running
   // it from scratch (Fleet::recover). The first execution attempt adopts
@@ -171,9 +194,9 @@ struct InferenceResult {
   bool resumed = false;
   std::string chip;              // ServerOptions::name of the executing chip
   double modelled_seconds = 0.0;  // echoed from RequestOptions
-  // Modelled seconds already retired through ServerOptions::
-  // preemption_hook for layers completed before a preemption: a
-  // completion hook retiring backlog must charge only
+  // Modelled seconds already retired through RequestObserver::preempt
+  // for layers completed before a preemption: a completion observer
+  // retiring backlog must charge only
   // modelled_seconds - modelled_seconds_retired, or a preempted request
   // gets double-retracted (see serve::Fleet).
   double modelled_seconds_retired = 0.0;
@@ -210,6 +233,38 @@ struct ServerStats {
   PlanCacheStats plan_cache;
   // The chip's tensor pool (filled on read, like plan_cache).
   ArenaStats arena;
+};
+
+// The request an observer event concerns.
+struct RequestRef {
+  std::int64_t request_id = 0;  // per-server, from 1
+  std::uint64_t tag = 0;        // RequestOptions::tag, 0 when not journaled
+};
+
+// One request lifecycle event stream (see the header comment for when
+// each event fires). Every event defaults to a no-op. An observer must
+// not throw: events fire mid-lifecycle, where an exception would strand
+// the request's accounting.
+class RequestObserver {
+ public:
+  RequestObserver() = default;
+  RequestObserver(const RequestObserver&) = delete;
+  RequestObserver& operator=(const RequestObserver&) = delete;
+  virtual ~RequestObserver() = default;
+  virtual void enqueue(const RequestRef&) {}
+  virtual void pickup(const RequestRef&) {}
+  virtual void layer_boundary(const RequestRef&, std::int64_t /*layer*/) {}
+  // `retired_seconds`: the modelled chain seconds of the layers this
+  // attempt newly completed, capped so the cumulative credit never
+  // exceeds RequestOptions::modelled_seconds.
+  virtual void preempt(const RequestRef&, double /*retired_seconds*/,
+                       const chain::RunCheckpoint&) {}
+  virtual void fidelity(const RequestRef&, chain::NetworkRunResult&) {}
+  // kOk and kCancelled outcomes carry the result the future resolves
+  // with; a request that threw gets a kFailed stub with only the request
+  // identity and routed accounting populated (the promise carries the
+  // error itself).
+  virtual void complete(const InferenceResult&) {}
 };
 
 // The paper-default accelerator with the analytical engine selected —
@@ -255,37 +310,15 @@ struct ServerOptions {
   // Re-enqueueing a checkpoint may transiently exceed max_queue (a
   // worker cannot block on its own backpressure).
   bool enable_preemption = false;
-  // Called (outside the server lock) when a running request is
-  // checkpointed, with the modelled chain seconds of the layers this
-  // attempt newly completed — capped so the cumulative credit never
-  // exceeds RequestOptions::modelled_seconds. The Fleet uses it to give
-  // a preempted request credit for completed layers in the chip's
-  // modelled backlog ("resume-aware backlog accounting").
-  std::function<void(std::int64_t request_id, double retired_seconds)>
-      preemption_hook;
-  // Called (outside the server lock) right after a preemption banks a
-  // checkpoint, with the request's durable tag and the checkpoint
-  // itself. The Fleet journals it so a crash between the preemption and
-  // the eventual completion can resume from the banked layer prefix
-  // instead of replaying from scratch. Fires after preemption_hook.
-  std::function<void(std::uint64_t tag, const chain::RunCheckpoint& cp)>
-      checkpoint_hook;
   // Seed for inputs generated by the submit(net, batch, ...) overload.
   std::uint64_t input_seed = 7;
-  // Called once per request, outside the server lock, immediately
-  // *before* its future resolves — so by the time a caller observes the
-  // result, the hook has already run (the Fleet relies on this to have
-  // retired routed backlog; tests use it to observe completion order).
-  // Every outcome fires it: kOk and kCancelled hooks receive the same
-  // result the future carries; for a request that threw, the hook
-  // receives a stub with status kFailed and only request_id / chip /
-  // modelled_seconds populated (the promise carries the error itself).
-  // wait_idle() returns only after all hooks have fired.
-  std::function<void(const InferenceResult&)> completion_hook;
-  // TEST HOOK: mutates the fidelity replay before the cross-check, so
-  // tests can prove an injected divergence is caught and counted.
-  std::function<void(std::int64_t request_id, chain::NetworkRunResult&)>
-      fidelity_mutator_for_test;
+  // Lifecycle observers, fired in this order (non-null). The Fleet
+  // installs its backlog accounting and journal here.
+  std::vector<std::shared_ptr<RequestObserver>> observers;
+  // The steady clock every server timestamp reads: enqueue, deadline,
+  // pickup, the cancellation and preemption polls, queue_ms and wall_ms.
+  std::function<std::chrono::steady_clock::time_point()> clock =
+      std::chrono::steady_clock::now;
 };
 
 class InferenceServer {
@@ -326,10 +359,10 @@ class InferenceServer {
   struct Task;
   struct State;  // queue + counters (hidden so the header stays light)
 
-  // Claims the next request id (inputs are derived from it before the
-  // task enters the queue, so ids identify inputs even under concurrent
-  // submitters).
-  [[nodiscard]] std::int64_t allocate_id();
+  // Validates the request and claims the next request id (inputs are
+  // derived from it before the task enters the queue, so ids identify
+  // inputs even under concurrent submitters).
+  [[nodiscard]] Task make_task(nn::NetworkModel net, RequestOptions options);
   // Blocks while the queue is full, then queues the task.
   [[nodiscard]] std::future<InferenceResult> enqueue(Task&& task);
   // Runs the task (resuming its checkpoint when it carries one). Returns

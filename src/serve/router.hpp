@@ -16,7 +16,7 @@
 //
 // The router is execution-agnostic: it never runs anything. Fleet calls
 // route()/dispatch() at submission and complete() from the per-chip
-// completion hook, keeping per-chip backlogs in modelled seconds.
+// backlog observer, keeping per-chip backlogs in modelled seconds.
 #pragma once
 
 #include <cstdint>
@@ -131,7 +131,7 @@ class Router {
   // dispatched seconds and the routed count all give the seconds back,
   // so a failed submit cannot permanently skew placement.
   void retract(const RouteDecision& decision);
-  // Retires `request_seconds` of backlog from `chip` (completion hook).
+  // Retires `request_seconds` of backlog from `chip` (backlog observer).
   void complete(std::size_t chip, double request_seconds);
 
   [[nodiscard]] std::vector<double> backlog_seconds() const;

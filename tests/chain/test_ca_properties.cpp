@@ -4,7 +4,7 @@
 // counters (word reads/writes per SRAM, DRAM bytes per operand).
 //
 // The generator draws K 1-11, stride 1-4, asymmetric padding, groups and
-// batch 1-3 on small chains (a few primitives each), so the draws cover
+// batch 1-8 on small chains (a few primitives each), so the draws cover
 // several m-groups with fewer resident kernels than primitives, several
 // c-tiles, strided phases whose sub-kernels leave tail PEs masked, dual-
 // and single-channel streaming and wide and staged-16 psum storage; the
@@ -44,7 +44,7 @@ Point draw_point(Rng& rng) {
       std::max<std::int64_t>(1, p.kernel - 2 * p.pad_h) + rng.uniform_int(0, 6);
   p.in_width =
       std::max<std::int64_t>(1, p.kernel - 2 * p.pad_w) + rng.uniform_int(0, 6);
-  p.batch = rng.uniform_int(1, 3);
+  p.batch = rng.uniform_int(1, 8);
   p.validate();
 
   // Chain of 1-4 primitives of the largest sub-kernel, plus a few spare
@@ -88,7 +88,8 @@ void expect_same_counters(const mem::MemoryHierarchy& a,
 TEST(CycleAccurateProperties, RandomPointsMatchAnalytical) {
   Rng rng(kSeed);
   int resident_short = 0, multi_mgroup = 0, multi_ctile = 0, masked_tail = 0,
-      single_channel = 0, staged = 0, grouped = 0, batched = 0;
+      single_channel = 0, staged = 0, grouped = 0, batched = 0,
+      large_batch = 0;
   for (int i = 0; i < kPoints; ++i) {
     const Point pt = draw_point(rng);
     const nn::ConvLayerParams& p = pt.layer;
@@ -159,6 +160,7 @@ TEST(CycleAccurateProperties, RandomPointsMatchAnalytical) {
     if (cfg.psum_storage == PsumStorage::kStaged16) ++staged;
     if (p.groups > 1) ++grouped;
     if (p.batch > 1) ++batched;
+    if (p.batch > 4) ++large_batch;
   }
   // The draws exercised every structural case the test is about.
   EXPECT_GT(resident_short, 0);
@@ -169,6 +171,7 @@ TEST(CycleAccurateProperties, RandomPointsMatchAnalytical) {
   EXPECT_GT(staged, 0);
   EXPECT_GT(grouped, 0);
   EXPECT_GT(batched, 0);
+  EXPECT_GT(large_batch, 0);
 }
 
 }  // namespace

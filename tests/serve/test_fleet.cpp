@@ -13,6 +13,7 @@
 #include "chain/network_runner.hpp"
 #include "common/rng.hpp"
 #include "serve/fleet.hpp"
+#include "test_observer.hpp"
 
 namespace chainnn::serve {
 namespace {
@@ -41,28 +42,24 @@ nn::NetworkModel tiny_net() {
 }
 
 TEST(Fleet, SpreadsIdenticalRequestsAcrossChips) {
+  // Hold every pickup on every chip until all nine requests are routed:
+  // no request completes (and retires backlog) mid-submission, so the
+  // placement sequence is a pure function of the modelled backlogs and
+  // the test is independent of host timing.
+  const At any_pickup = At::pickup(0);
+  auto obs = std::make_shared<TestObserver>();
+  obs->hold(any_pickup);
   FleetOptions fo;
   fo.threads_per_chip = 1;
+  fo.observers = {obs};
   Fleet fleet(fo);
   ASSERT_EQ(fleet.chips().size(), 3u);
 
   const nn::NetworkModel net = tiny_net();
-  // Gate every execution until all nine requests are routed: no request
-  // completes (and retires backlog) mid-submission, so the placement
-  // sequence is a pure function of the modelled backlogs and the test
-  // is independent of host timing.
-  std::promise<void> open_gate;
-  std::shared_future<void> gate = open_gate.get_future().share();
-  RequestOptions gated;
-  gated.weight_init = [gate](std::int64_t, Tensor<std::int16_t>& kernels) {
-    gate.wait();
-    Rng rng(7);
-    kernels.fill_random(rng, -16, 16);
-  };
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < 9; ++i)
-    futures.push_back(fleet.submit(net, /*batch=*/1, gated));
-  open_gate.set_value();
+    futures.push_back(fleet.submit(net, /*batch=*/1));
+  obs->release(any_pickup);
   for (auto& f : futures) {
     const InferenceResult r = f.get();
     EXPECT_EQ(r.status, RequestStatus::kOk);
@@ -195,7 +192,7 @@ TEST(Fleet, PlanRouteMatchesSubmitPlacement) {
 TEST(Fleet, PreemptedThenCancelledIsNotDoubleRetracted) {
   // Regression for the preemption path of the backlog accounting: a
   // preemption retires the completed layers' modelled seconds
-  // immediately, and the terminal hook retires only the remainder. A
+  // immediately, and the `complete` event retires only the remainder. A
   // request that is preempted and then cancelled before its resume must
   // retire exactly its modelled seconds once — retiring them twice would
   // (via the clamp in Router::complete) eat a *different* request's
@@ -206,57 +203,32 @@ TEST(Fleet, PreemptedThenCancelledIsNotDoubleRetracted) {
   fo.chips = {only};  // single chip: placement is forced, timing is not
   fo.threads_per_chip = 1;
   fo.preemption = true;
+  // Request ids on the one chip: A = 1, C = 2, B = 3.
+  auto token_a = std::make_shared<std::atomic<bool>>(false);
+  auto obs = std::make_shared<TestObserver>();
+  // A (tier 0) is held at its layer-1 boundary until C and B are queued,
+  // so C preempts it there.
+  obs->hold(At::layer_boundary(1, 1), At::enqueue(3));
+  // C (tier 1), the preemptor, cancels A at its pickup — A is cancelled
+  // while checkpointed, before it can resume.
+  obs->on(At::pickup(2), [token_a] { token_a->store(true); });
+  // B (tier 0) runs after A's cancellation and is held so the test can
+  // observe the backlog mid-flight.
+  obs->hold(At::pickup(3));
+  fo.observers = {obs};
   Fleet fleet(fo);
   const nn::NetworkModel net = tiny_net();
   const double modelled = fleet.plan_route(net, 1).request_seconds;
   ASSERT_GT(modelled, 0.0);
 
-  std::promise<void> a_started, b_started;
-  std::promise<void> release_a, release_b;
-  std::shared_future<void> a_gate = release_a.get_future().share();
-  std::shared_future<void> b_gate = release_b.get_future().share();
-  std::atomic<bool> a_gated{false}, b_gated{false};
-  auto token_a = std::make_shared<std::atomic<bool>>(false);
-
-  // A (tier 0): blocks in layer 0 until C and B are queued, then gets
-  // preempted by C at the layer-1 boundary.
   RequestOptions a;
   a.cancel = token_a;
-  a.weight_init = [&](std::int64_t layer, Tensor<std::int16_t>& k) {
-    if (layer == 0 && !a_gated.exchange(true)) {
-      a_started.set_value();
-      a_gate.wait();
-    }
-    Rng rng(7);
-    k.fill_random(rng, -16, 16);
-  };
   auto fa = fleet.submit(net, 1, a);
-  a_started.get_future().wait();
-
-  // C (tier 1): the preemptor; its weight_init cancels A, so A is
-  // cancelled while checkpointed — before it can resume.
+  obs->wait_for(At::layer_boundary(1, 1));
   RequestOptions c;
   c.priority = 1;
-  c.weight_init = [&](std::int64_t, Tensor<std::int16_t>& k) {
-    token_a->store(true);
-    Rng rng(8);
-    k.fill_random(rng, -16, 16);
-  };
   auto fc = fleet.submit(net, 1, c);
-
-  // B (tier 0): runs after A's cancellation and blocks so the test can
-  // observe the backlog mid-flight.
-  RequestOptions b;
-  b.weight_init = [&](std::int64_t layer, Tensor<std::int16_t>& k) {
-    if (layer == 0 && !b_gated.exchange(true)) {
-      b_started.set_value();
-      b_gate.wait();
-    }
-    Rng rng(9);
-    k.fill_random(rng, -16, 16);
-  };
-  auto fb = fleet.submit(net, 1, b);
-  release_a.set_value();
+  auto fb = fleet.submit(net, 1);
 
   const InferenceResult ra = fa.get();
   EXPECT_EQ(ra.status, RequestStatus::kCancelled);
@@ -269,11 +241,11 @@ TEST(Fleet, PreemptedThenCancelledIsNotDoubleRetracted) {
   // B is the only live request: with A (preempted, then cancelled) and C
   // retired exactly once each, the chip backlog must be exactly B's
   // modelled seconds. A double retraction of A would have eaten into it.
-  b_started.get_future().wait();
+  obs->wait_for(At::pickup(3));
   const FleetStats mid = fleet.stats();
   EXPECT_NEAR(mid.chips[0].backlog_seconds, modelled, 1e-12);
 
-  release_b.set_value();
+  obs->release(At::pickup(3));
   (void)fb.get();
   fleet.wait_idle();
 

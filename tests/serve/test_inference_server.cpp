@@ -1,21 +1,39 @@
 // InferenceServer: request scheduling, per-request ExecMode / array
 // overrides, and fidelity sampling — sampled cycle-accurate replays must
 // be bit-identical to the analytical results, and an injected divergence
-// must be caught and counted.
+// must be caught and counted. Interleavings are pinned with a
+// TestObserver hold and deadlines with a TestClock, never by sleeping.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
-#include <mutex>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "serve/inference_server.hpp"
+#include "test_observer.hpp"
 
 namespace chainnn::serve {
 namespace {
+
+// Mutates every fidelity replay before the cross-check, so tests can
+// prove an injected divergence is caught and counted.
+class ReplayMutator final : public RequestObserver {
+ public:
+  explicit ReplayMutator(
+      std::function<void(std::int64_t, chain::NetworkRunResult&)> mutate)
+      : mutate_(std::move(mutate)) {}
+  void fidelity(const RequestRef& r,
+                chain::NetworkRunResult& replay) override {
+    mutate_(r.request_id, replay);
+  }
+
+ private:
+  std::function<void(std::int64_t, chain::NetworkRunResult&)> mutate_;
+};
 
 // Two small conv layers; cycle-accurate runs finish in milliseconds.
 nn::NetworkModel tiny_net() {
@@ -151,12 +169,12 @@ TEST(InferenceServer, InjectedDivergenceIsCaughtAndCounted) {
   so.fidelity_sample_every_n = 2;  // requests 2, 4
   // Corrupt one ofmap word of the replay of request 4 only: exactly one
   // of the two samples must report (and count) a divergence.
-  so.fidelity_mutator_for_test = [](std::int64_t request_id,
-                                    chain::NetworkRunResult& replay) {
-    if (request_id != 4) return;
-    auto& ofmaps = replay.layers.front().run.ofmaps;
-    ofmaps.at_flat(0) = static_cast<std::int16_t>(ofmaps.at_flat(0) + 1);
-  };
+  so.observers = {std::make_shared<ReplayMutator>(
+      [](std::int64_t request_id, chain::NetworkRunResult& replay) {
+        if (request_id != 4) return;
+        auto& ofmaps = replay.layers.front().run.ofmaps;
+        ofmaps.at_flat(0) = static_cast<std::int16_t>(ofmaps.at_flat(0) + 1);
+      })};
   InferenceServer server(so);
 
   const nn::NetworkModel net = tiny_net();
@@ -196,11 +214,11 @@ TEST(InferenceServer, EnergyAndTrafficDivergencesAreCaught) {
       [&net](std::function<void(chain::NetworkRunResult&)> mutate) {
         ServerOptions so;
         so.fidelity_sample_every_n = 1;
-        so.fidelity_mutator_for_test =
+        so.observers = {std::make_shared<ReplayMutator>(
             [mutate = std::move(mutate)](std::int64_t,
                                          chain::NetworkRunResult& replay) {
               mutate(replay);
-            };
+            })};
         InferenceServer server(so);
         const InferenceResult r = server.submit(net, /*batch=*/1).get();
         EXPECT_TRUE(r.fidelity.sampled);
@@ -258,7 +276,21 @@ TEST(InferenceServer, SharedCacheAcrossServers) {
 }
 
 TEST(InferenceServer, RequestErrorsResolveTheFuture) {
-  InferenceServer server{ServerOptions{}};
+  // The observer must see the kFailed outcome before the future carries
+  // the error, like every other outcome.
+  std::atomic<bool> failed_seen{false};
+  struct FailureWatch final : RequestObserver {
+    std::atomic<bool>* seen;
+    explicit FailureWatch(std::atomic<bool>* s) : seen(s) {}
+    void complete(const InferenceResult& r) override {
+      EXPECT_EQ(r.request_id, 1);
+      EXPECT_EQ(r.status, RequestStatus::kFailed);
+      seen->store(true);
+    }
+  };
+  ServerOptions so;
+  so.observers = {std::make_shared<FailureWatch>(&failed_seen)};
+  InferenceServer server(so);
   nn::NetworkModel net = tiny_net();
   // Kernel taps exceed any chain: planning throws inside the worker and
   // the future must carry the error instead of hanging.
@@ -266,8 +298,37 @@ TEST(InferenceServer, RequestErrorsResolveTheFuture) {
   net.conv_layers[0].in_height = net.conv_layers[0].in_width = 99;
   auto future = server.submit(net, 1);
   EXPECT_ANY_THROW((void)future.get());
+  EXPECT_TRUE(failed_seen.load());
   server.wait_idle();
   EXPECT_EQ(server.stats().failed, 1);
+}
+
+TEST(InferenceServer, ObserverSeesTheLifecycleInOrder) {
+  // One sampled request on a two-layer network: every stage fires once,
+  // boundaries name the next conv layer, and `complete` fires before the
+  // future resolves. `enqueue` fires on the submitting thread after the
+  // request is queued, so the drain may overtake it; the drain's own
+  // events are strictly ordered.
+  auto obs = std::make_shared<TestObserver>();
+  ServerOptions so;
+  so.fidelity_sample_every_n = 1;
+  so.observers = {obs};
+  InferenceServer server(so);
+  const InferenceResult r = server.submit(tiny_net(), 1).get();
+  EXPECT_EQ(r.status, RequestStatus::kOk);
+  EXPECT_EQ(obs->count(At::complete(1)), 1);
+  server.wait_idle();
+
+  EXPECT_EQ(obs->count(At::enqueue(1)), 1);
+  std::vector<At> drain;
+  for (const At& e : obs->fired())
+    if (e.event != Event::kEnqueue) drain.push_back(e);
+  const std::vector<At> want = {At::pickup(1), At::layer_boundary(1, 0),
+                                At::layer_boundary(1, 1),
+                                {Event::kFidelity, 1}, At::complete(1)};
+  ASSERT_EQ(drain.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_TRUE(want[i].matches(drain[i])) << "event " << i;
 }
 
 TEST(InferenceServer, PastDeadlineAtSubmitResolvesCancelled) {
@@ -291,19 +352,16 @@ TEST(InferenceServer, CancelTokenStopsBetweenLayers) {
   ServerOptions so;
   so.num_threads = 1;
   so.fidelity_sample_every_n = 1;  // must NOT replay a cancelled run
-  InferenceServer server(so);
 
-  // The token is set while layer 0's weights are drawn, so the run
-  // passes layer 0's checkpoint, executes it, and stops at layer 1's.
+  // The token is set once the run has passed layer 0's cancellation
+  // poll, so it executes layer 0 and stops at layer 1's checkpoint.
   auto token = std::make_shared<std::atomic<bool>>(false);
+  auto obs = std::make_shared<TestObserver>();
+  obs->on(At::layer_boundary(1, 0), [token] { token->store(true); });
+  so.observers = {obs};
+  InferenceServer server(so);
   RequestOptions ro;
   ro.cancel = token;
-  ro.weight_init = [token](std::int64_t layer_index,
-                           Tensor<std::int16_t>& kernels) {
-    if (layer_index == 0) token->store(true);
-    Rng rng(99);
-    kernels.fill_random(rng, -16, 16);
-  };
   const InferenceResult r = server.submit(tiny_net(), 1, ro).get();
   EXPECT_EQ(r.status, RequestStatus::kCancelled);
   EXPECT_EQ(r.completed_layers, 1);
@@ -317,84 +375,47 @@ TEST(InferenceServer, CancelTokenStopsBetweenLayers) {
 }
 
 TEST(InferenceServer, HighPriorityOvertakesQueuedLowPriority) {
-  // Priority-inversion scenario: a long low-priority request is already
-  // running (it blocks inside weight_init until released), a second
-  // low-priority request is queued, then a high-priority one arrives.
-  // With one worker the high-priority request must overtake the queued
-  // low-priority one — completion order is observed via the hook.
-  std::vector<std::int64_t> completion_order;
-  std::mutex order_mu;
-  std::promise<void> blocker_started;
-  std::promise<void> release_blocker;
-  std::shared_future<void> release = release_blocker.get_future().share();
-
+  // Priority-inversion scenario: a low-priority request is already
+  // running (held at its pickup until the last request is queued), a
+  // second low-priority request is queued, then a high-priority one
+  // arrives. With one worker the high-priority request must overtake the
+  // queued low-priority one.
+  auto obs = std::make_shared<TestObserver>();
+  obs->hold(At::pickup(1), At::enqueue(3));
   ServerOptions so;
   so.num_threads = 1;
-  so.completion_hook = [&](const InferenceResult& r) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    completion_order.push_back(r.request_id);
-  };
+  so.observers = {obs};
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
 
-  RequestOptions blocker;
-  blocker.weight_init = [&](std::int64_t layer_index,
-                            Tensor<std::int16_t>& kernels) {
-    if (layer_index == 0) {
-      blocker_started.set_value();
-      release.wait();
-    }
-    Rng rng(7);
-    kernels.fill_random(rng, -16, 16);
-  };
-  auto f1 = server.submit(net, 1, blocker);  // id 1, occupies the worker
-  blocker_started.get_future().wait();
-
+  auto f1 = server.submit(net, 1);  // id 1, occupies the worker
+  obs->wait_for(At::pickup(1));
   RequestOptions low;   // id 2, tier 0
   RequestOptions high;  // id 3, tier 5
   high.priority = 5;
   auto f2 = server.submit(net, 1, low);
   auto f3 = server.submit(net, 1, high);
-  release_blocker.set_value();
   (void)f1.get();
   (void)f2.get();
   (void)f3.get();
   server.wait_idle();
 
-  ASSERT_EQ(completion_order.size(), 3u);
-  EXPECT_EQ(completion_order[0], 1);  // the blocker finishes first
-  EXPECT_EQ(completion_order[1], 3);  // high priority overtakes...
-  EXPECT_EQ(completion_order[2], 2);  // ...the earlier low-priority one
+  // The blocker finishes first, then high priority overtakes the earlier
+  // low-priority request.
+  EXPECT_EQ(obs->completion_order(), (std::vector<std::int64_t>{1, 3, 2}));
 }
 
 TEST(InferenceServer, EarliestDeadlineFirstWithinATier) {
-  std::vector<std::int64_t> completion_order;
-  std::mutex order_mu;
-  std::promise<void> blocker_started;
-  std::promise<void> release_blocker;
-  std::shared_future<void> release = release_blocker.get_future().share();
-
+  auto obs = std::make_shared<TestObserver>();
+  obs->hold(At::pickup(1), At::enqueue(4));
   ServerOptions so;
   so.num_threads = 1;
-  so.completion_hook = [&](const InferenceResult& r) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    completion_order.push_back(r.request_id);
-  };
+  so.observers = {obs};
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
 
-  RequestOptions blocker;
-  blocker.weight_init = [&](std::int64_t layer_index,
-                            Tensor<std::int16_t>& kernels) {
-    if (layer_index == 0) {
-      blocker_started.set_value();
-      release.wait();
-    }
-    Rng rng(7);
-    kernels.fill_random(rng, -16, 16);
-  };
-  auto f1 = server.submit(net, 1, blocker);
-  blocker_started.get_future().wait();
+  auto f1 = server.submit(net, 1);
+  obs->wait_for(At::pickup(1));
 
   // Same tier; the later-submitted request has the earlier deadline and
   // a no-deadline request sorts after both.
@@ -405,65 +426,38 @@ TEST(InferenceServer, EarliestDeadlineFirstWithinATier) {
   auto f2 = server.submit(net, 1, none);
   auto f3 = server.submit(net, 1, loose);
   auto f4 = server.submit(net, 1, tight);
-  release_blocker.set_value();
   (void)f1.get();
   (void)f2.get();
   (void)f3.get();
   (void)f4.get();
   server.wait_idle();
 
-  ASSERT_EQ(completion_order.size(), 4u);
-  EXPECT_EQ(completion_order[0], 1);
-  EXPECT_EQ(completion_order[1], 4);  // tightest deadline first
-  EXPECT_EQ(completion_order[2], 3);
-  EXPECT_EQ(completion_order[3], 2);  // no deadline goes last
+  // Tightest deadline first; no deadline goes last.
+  EXPECT_EQ(obs->completion_order(),
+            (std::vector<std::int64_t>{1, 4, 3, 2}));
 }
 
 TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
-  // One worker, preemption on: a tier-0 request is mid-run (blocked in
-  // layer 0's weight_init) when a tier-1 request arrives. The worker
-  // must checkpoint the tier-0 run at the layer-1 boundary, serve the
-  // tier-1 request first, then resume the checkpoint — and the resumed
-  // result must be bit-identical to running the request undisturbed.
-  std::vector<std::int64_t> completion_order;
-  std::mutex order_mu;
-  std::promise<void> blocker_started;
-  std::promise<void> release_blocker;
-  std::shared_future<void> release = release_blocker.get_future().share();
-  std::atomic<bool> gated{false};
-
+  // One worker, preemption on: a tier-0 request is held at its layer-1
+  // boundary until a tier-1 request has been queued. The worker must
+  // checkpoint the tier-0 run there, serve the tier-1 request first, then
+  // resume the checkpoint — and the resumed result must be bit-identical
+  // to running the request undisturbed.
+  auto obs = std::make_shared<TestObserver>();
+  obs->hold(At::layer_boundary(1, 1), At::enqueue(2));
   ServerOptions so;
   so.num_threads = 1;
   so.enable_preemption = true;
-  so.completion_hook = [&](const InferenceResult& r) {
-    std::lock_guard<std::mutex> lock(order_mu);
-    completion_order.push_back(r.request_id);
-  };
+  so.observers = {obs};
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
   const Tensor<std::int16_t> input = tiny_input(1, 321);
 
-  // Per-layer-pure weights so the direct replay below draws the same
-  // kernels without the gating side effects.
-  const auto weights = [](std::int64_t layer, Tensor<std::int16_t>& k) {
-    Rng rng(700 + static_cast<std::uint64_t>(layer));
-    k.fill_random(rng, -16, 16);
-  };
-  RequestOptions victim;  // id 1, tier 0
-  victim.weight_init = [&](std::int64_t layer, Tensor<std::int16_t>& k) {
-    if (layer == 0 && !gated.exchange(true)) {
-      blocker_started.set_value();
-      release.wait();
-    }
-    weights(layer, k);
-  };
-  auto victim_future = server.submit(net, input, victim);
-  blocker_started.get_future().wait();
-
+  auto victim_future = server.submit(net, input);  // id 1, tier 0
+  obs->wait_for(At::layer_boundary(1, 1));
   RequestOptions urgent;  // id 2, tier 1 — queued while the victim runs
   urgent.priority = 1;
   auto urgent_future = server.submit(net, 1, urgent);
-  release_blocker.set_value();
 
   const InferenceResult vr = victim_future.get();
   const InferenceResult ur = urgent_future.get();
@@ -473,13 +467,13 @@ TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
   EXPECT_EQ(ur.status, RequestStatus::kOk);
   EXPECT_EQ(vr.preemptions, 1);
   EXPECT_TRUE(vr.resumed);
+  EXPECT_EQ(obs->count(At::preempt(1)), 1);
   // wall_ms spans every attempt: the pre-preemption slice plus the
   // resumed run (queue time between them excluded).
   EXPECT_GT(vr.wall_ms, 0.0);
   EXPECT_FALSE(ur.resumed);
-  ASSERT_EQ(completion_order.size(), 2u);
-  EXPECT_EQ(completion_order[0], 2);  // the urgent request went first
-  EXPECT_EQ(completion_order[1], 1);
+  // The urgent request went first.
+  EXPECT_EQ(obs->completion_order(), (std::vector<std::int64_t>{2, 1}));
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, 2);
@@ -492,7 +486,6 @@ TEST(InferenceServer, PreemptionCheckpointsAndResumesBitIdentical) {
   chain::NetworkRunner runner(acc, so.energy);
   chain::NetworkRunOptions ro;
   ro.verify_against_golden = false;
-  ro.weight_init = weights;
   const chain::NetworkRunResult direct = runner.run(net, input, ro);
   std::string why;
   EXPECT_TRUE(network_runs_identical(vr.run, direct, &why)) << why;
@@ -502,34 +495,21 @@ TEST(InferenceServer, DeadHigherTierWaiterDoesNotPreempt) {
   // A queued higher-tier request that is already dead on arrival (cancel
   // token pre-set) resolves at pickup without touching the chip, so it
   // must not checkpoint the healthy lower-tier run that is in flight.
-  std::promise<void> blocker_started;
-  std::promise<void> release_blocker;
-  std::shared_future<void> release = release_blocker.get_future().share();
-  std::atomic<bool> gated{false};
-
+  auto obs = std::make_shared<TestObserver>();
+  obs->hold(At::layer_boundary(1, 1), At::enqueue(2));
   ServerOptions so;
   so.num_threads = 1;
   so.enable_preemption = true;
+  so.observers = {obs};
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
 
-  RequestOptions victim;
-  victim.weight_init = [&](std::int64_t layer, Tensor<std::int16_t>& k) {
-    if (layer == 0 && !gated.exchange(true)) {
-      blocker_started.set_value();
-      release.wait();
-    }
-    Rng rng(7);
-    k.fill_random(rng, -16, 16);
-  };
-  auto f1 = server.submit(net, 1, victim);
-  blocker_started.get_future().wait();
-
+  auto f1 = server.submit(net, 1);
+  obs->wait_for(At::layer_boundary(1, 1));
   RequestOptions dead;
   dead.priority = 2;
   dead.cancel = std::make_shared<std::atomic<bool>>(true);
   auto f2 = server.submit(net, 1, dead);
-  release_blocker.set_value();
 
   EXPECT_EQ(f1.get().status, RequestStatus::kOk);
   EXPECT_EQ(f2.get().status, RequestStatus::kCancelled);
@@ -549,54 +529,27 @@ TEST(InferenceServer, PreemptedThenCancelledAtPickupKeepsAttemptWallTime) {
   // attempt already accumulated. It also re-sampled the clock when
   // classifying the cancellation, so with a deadline attached the
   // token-cancel could masquerade as deadline_expired. Pin both fixes.
-  std::promise<void> victim_started;
-  std::promise<void> release_victim;
-  std::shared_future<void> victim_gate = release_victim.get_future().share();
-  std::promise<void> urgent_started;
-  std::promise<void> release_urgent;
-  std::shared_future<void> urgent_gate = release_urgent.get_future().share();
-  std::atomic<bool> victim_gated{false};
-  std::atomic<bool> urgent_gated{false};
-
+  auto victim_token = std::make_shared<std::atomic<bool>>(false);
+  auto obs = std::make_shared<TestObserver>();
+  obs->hold(At::layer_boundary(1, 1), At::enqueue(2));
+  // The urgent request's pickup proves the victim was checkpointed and
+  // re-enqueued: cancel the victim *while it waits to resume*.
+  obs->on(At::pickup(2), [victim_token] { victim_token->store(true); });
   ServerOptions so;
   so.num_threads = 1;
   so.enable_preemption = true;
+  so.observers = {obs};
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
 
   RequestOptions victim;  // id 1, tier 0
   victim.deadline_ms = 60000.0;  // generous: any deadline_expired is a bug
-  victim.cancel = std::make_shared<std::atomic<bool>>(false);
-  victim.weight_init = [&](std::int64_t layer, Tensor<std::int16_t>& k) {
-    if (layer == 0 && !victim_gated.exchange(true)) {
-      victim_started.set_value();
-      victim_gate.wait();
-    }
-    Rng rng(7);
-    k.fill_random(rng, -16, 16);
-  };
+  victim.cancel = victim_token;
   auto victim_future = server.submit(net, 1, victim);
-  victim_started.get_future().wait();
-
+  obs->wait_for(At::layer_boundary(1, 1));
   RequestOptions urgent;  // id 2, tier 1 — forces the checkpoint
   urgent.priority = 1;
-  urgent.weight_init = [&](std::int64_t layer, Tensor<std::int16_t>& k) {
-    if (layer == 0 && !urgent_gated.exchange(true)) {
-      urgent_started.set_value();
-      urgent_gate.wait();
-    }
-    Rng rng(7);
-    k.fill_random(rng, -16, 16);
-  };
   auto urgent_future = server.submit(net, 1, urgent);
-  release_victim.set_value();
-
-  // The urgent request executing proves the victim was checkpointed and
-  // re-enqueued; cancel it *while it waits to resume*, then let the
-  // urgent request finish so the worker reaches the dead checkpoint.
-  urgent_started.get_future().wait();
-  victim.cancel->store(true);
-  release_urgent.set_value();
 
   const InferenceResult ur = urgent_future.get();
   const InferenceResult vr = victim_future.get();
@@ -627,32 +580,20 @@ TEST(InferenceServer, NoPreemptionAcrossEqualTiers) {
   // Preemption requires a *strictly* higher tier: an equal-priority
   // arrival (even with a tighter deadline) never checkpoints the
   // running request.
-  std::promise<void> blocker_started;
-  std::promise<void> release_blocker;
-  std::shared_future<void> release = release_blocker.get_future().share();
-  std::atomic<bool> gated{false};
-
+  auto obs = std::make_shared<TestObserver>();
+  obs->hold(At::layer_boundary(1, 1), At::enqueue(2));
   ServerOptions so;
   so.num_threads = 1;
   so.enable_preemption = true;
+  so.observers = {obs};
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
 
-  RequestOptions first;
-  first.weight_init = [&](std::int64_t layer, Tensor<std::int16_t>& k) {
-    if (layer == 0 && !gated.exchange(true)) {
-      blocker_started.set_value();
-      release.wait();
-    }
-    Rng rng(7);
-    k.fill_random(rng, -16, 16);
-  };
-  auto f1 = server.submit(net, 1, first);
-  blocker_started.get_future().wait();
+  auto f1 = server.submit(net, 1);
+  obs->wait_for(At::layer_boundary(1, 1));
   RequestOptions tight;
   tight.deadline_ms = 10e3;
   auto f2 = server.submit(net, 1, tight);
-  release_blocker.set_value();
   (void)f1.get();
   (void)f2.get();
   server.wait_idle();
@@ -664,33 +605,59 @@ TEST(InferenceServer, NoPreemptionAcrossEqualTiers) {
 }
 
 TEST(InferenceServer, CompletedPastDeadlineCountsAsMiss) {
+  // The deadline expires while the request is already executing: the
+  // clock jumps past it once the run has passed layer 0's cancellation
+  // poll, and a single-layer network has no later poll, so the run
+  // completes: kOk, but flagged and counted as a miss.
+  TestClock clock;
+  auto obs = std::make_shared<TestObserver>();
+  obs->on(At::layer_boundary(1, 0),
+          [&clock] { clock.advance(std::chrono::hours(2)); });
   ServerOptions so;
   so.num_threads = 1;
+  so.clock = clock.source();
+  so.observers = {obs};
   InferenceServer server(so);
 
-  // The deadline expires while the request is already executing (the
-  // checkpoint gate sits *between* layers, so a single-layer network
-  // always runs to completion): kOk, but flagged and counted as a miss.
   nn::NetworkModel net = tiny_net();
   net.conv_layers.resize(1);
   RequestOptions ro;
-  ro.deadline_ms = 2000.0;  // generous: the pickup must beat it even on
-                            // a loaded sanitizer runner...
-  ro.weight_init = [&](std::int64_t, Tensor<std::int16_t>& kernels) {
-    // ...and the execution must overshoot it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(3100));
-    Rng rng(7);
-    kernels.fill_random(rng, -16, 16);
-  };
+  ro.deadline_ms = 3600e3;  // an hour: only the clock jump can miss it
   const InferenceResult r = server.submit(net, 1, ro).get();
   EXPECT_EQ(r.status, RequestStatus::kOk);
   EXPECT_TRUE(r.deadline_missed);
+  EXPECT_FALSE(r.deadline_expired);
   EXPECT_EQ(r.completed_layers, 1);
+  EXPECT_GE(r.wall_ms, 7200e3);  // the jump landed inside the execution
 
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.completed, 1);
   EXPECT_EQ(stats.deadline_misses, 1);
   EXPECT_EQ(stats.cancelled, 0);
+}
+
+TEST(InferenceServer, DeadlinePassedAtABoundaryCancelsAtTheNext) {
+  // The same clock jump on a two-layer network: layer 1's poll sees the
+  // deadline gone and cancels, classified as an expiry, with layer 0's
+  // work counted as completed.
+  TestClock clock;
+  auto obs = std::make_shared<TestObserver>();
+  obs->on(At::layer_boundary(1, 0),
+          [&clock] { clock.advance(std::chrono::hours(2)); });
+  ServerOptions so;
+  so.num_threads = 1;
+  so.clock = clock.source();
+  so.observers = {obs};
+  InferenceServer server(so);
+
+  RequestOptions ro;
+  ro.deadline_ms = 3600e3;
+  const InferenceResult r = server.submit(tiny_net(), 1, ro).get();
+  EXPECT_EQ(r.status, RequestStatus::kCancelled);
+  EXPECT_TRUE(r.deadline_expired);
+  EXPECT_EQ(r.completed_layers, 1);
+  EXPECT_EQ(obs->count(At::layer_boundary(1, 1)), 0);  // cancelled first
+  EXPECT_EQ(server.stats().deadline_expired, 1);
 }
 
 }  // namespace

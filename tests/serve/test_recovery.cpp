@@ -28,6 +28,7 @@
 #include "serve/durable.hpp"
 #include "serve/fleet.hpp"
 #include "serve/journal.hpp"
+#include "test_observer.hpp"
 
 namespace chainnn::serve {
 namespace {
@@ -357,63 +358,60 @@ TEST(Recovery, RecoveryIsIdempotent) {
 
 TEST(Recovery, LivePreemptionCheckpointSurvivesTheCrash) {
   // End-to-end through the serving stack: a real preemption journals its
-  // checkpoint via the fleet's checkpoint hook; cutting the journal
+  // checkpoint via the fleet's journal observer; cutting the journal
   // right after that record (the crash window between preemption and
   // completion) recovers the preempted request *from the checkpoint*,
   // bit-identical to its pre-crash result.
   const std::vector<ChipSpec> one_chip = {default_fleet_chips()[1]};
   const nn::NetworkModel net = tiny_net(3);
+  const std::string path = temp_path("live_ckpt.jrnl");
 
-  // Keep the chip busy with slow (cycle-accurate) low-priority work so
-  // the high-priority arrival preempts whichever request is running.
-  // The race is benign — submits take microseconds, runs milliseconds —
-  // but a handful of attempts makes the test robust to any scheduler.
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    const std::string path =
-        temp_path("live_ckpt_" + std::to_string(attempt) + ".jrnl");
-    std::map<std::uint64_t, InferenceResult> by_tag;
-    std::int64_t preemptions = 0;
-    {
-      Fleet fleet(journaled_fleet_options(path, one_chip));
-      std::vector<std::future<InferenceResult>> futures;
-      for (int i = 0; i < 3; ++i) {
-        RequestOptions slow;
-        slow.priority = 0;
-        slow.exec_mode = chain::ExecMode::kCycleAccurate;
-        futures.push_back(
-            fleet.submit(net, request_input(net, 2, 500 + i), slow));
-      }
-      RequestOptions urgent;
-      urgent.priority = 2;
+  // Three slow (cycle-accurate) low-priority requests, ids 1-3, then an
+  // urgent one, id 4. Request 1 is held at its layer-1 boundary until the
+  // urgent request is queued, so it is preempted there on any host.
+  auto obs = std::make_shared<TestObserver>();
+  obs->hold(At::layer_boundary(1, 1), At::enqueue(4));
+  std::map<std::uint64_t, InferenceResult> by_tag;
+  {
+    FleetOptions fo = journaled_fleet_options(path, one_chip);
+    fo.observers = {obs};
+    Fleet fleet(fo);
+    std::vector<std::future<InferenceResult>> futures;
+    for (int i = 0; i < 3; ++i) {
+      RequestOptions slow;
+      slow.priority = 0;
+      slow.exec_mode = chain::ExecMode::kCycleAccurate;
       futures.push_back(
-          fleet.submit(net, request_input(net, 1, 900), urgent));
-      for (std::future<InferenceResult>& f : futures) {
-        InferenceResult r = f.get();
-        EXPECT_EQ(r.status, RequestStatus::kOk);
-        by_tag.emplace(r.tag, std::move(r));
-      }
-      fleet.wait_idle();
-      preemptions = fleet.stats().preemptions;
+          fleet.submit(net, request_input(net, 2, 500 + i), slow));
     }
-    if (preemptions == 0) continue;  // urgent arrived too late; retry
-
-    const std::string bytes = read_file(path);
-    const JournalLayout layout = journal_layout(bytes);
-    std::size_t after_checkpoint = 0;
-    for (std::size_t i = 0; i < layout.types.size(); ++i)
-      if (layout.types[i] == RecordType::kCheckpoint) {
-        after_checkpoint = layout.boundaries[i + 1];
-        break;
-      }
-    ASSERT_GT(after_checkpoint, 0u) << "preemption did not journal";
-
-    const CutVerdict v = verify_recovery_at_cut(
-        bytes, after_checkpoint, by_tag, one_chip, "live_ckpt");
-    EXPECT_GE(v.report.resumed_from_checkpoint, 1);
-    EXPECT_EQ(v.report.checkpoint_handoffs, 0);
-    return;
+    obs->wait_for(At::layer_boundary(1, 1));
+    RequestOptions urgent;
+    urgent.priority = 2;
+    futures.push_back(fleet.submit(net, request_input(net, 1, 900), urgent));
+    for (std::future<InferenceResult>& f : futures) {
+      InferenceResult r = f.get();
+      EXPECT_EQ(r.status, RequestStatus::kOk);
+      by_tag.emplace(r.tag, std::move(r));
+    }
+    fleet.wait_idle();
+    EXPECT_EQ(fleet.stats().preemptions, 1);
   }
-  FAIL() << "no preemption in 5 attempts — is the chip too fast?";
+  EXPECT_EQ(obs->count(At::preempt(1)), 1);
+
+  const std::string bytes = read_file(path);
+  const JournalLayout layout = journal_layout(bytes);
+  std::size_t after_checkpoint = 0;
+  for (std::size_t i = 0; i < layout.types.size(); ++i)
+    if (layout.types[i] == RecordType::kCheckpoint) {
+      after_checkpoint = layout.boundaries[i + 1];
+      break;
+    }
+  ASSERT_GT(after_checkpoint, 0u) << "preemption did not journal";
+
+  const CutVerdict v = verify_recovery_at_cut(bytes, after_checkpoint,
+                                              by_tag, one_chip, "live_ckpt");
+  EXPECT_GE(v.report.resumed_from_checkpoint, 1);
+  EXPECT_EQ(v.report.checkpoint_handoffs, 0);
 }
 
 TEST(Recovery, CheckpointResumesBitIdenticalOnTheSameChip) {

@@ -45,6 +45,7 @@
 #include "chain/network_runner.hpp"
 #include "common/rng.hpp"
 #include "serve/fleet.hpp"
+#include "test_observer.hpp"
 
 namespace chainnn::serve {
 namespace {
@@ -335,18 +336,23 @@ TEST(SchedProperties, RandomizedMixedTraceMatchesOracle) {
 }
 
 TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
-  // Engineered burst: one tier-0 victim per chip is held mid-layer-0
-  // until six tier-2 requests are queued behind them, guaranteeing every
-  // victim is preempted at its layer-1 boundary. The oracle (direct,
+  // Engineered burst: one tier-0 victim per chip is held at its layer-1
+  // boundary until six tier-2 requests are queued behind them,
+  // guaranteeing every victim is preempted there. The oracle (direct,
   // undisturbed execution) must match every result bit for bit, and the
   // preemption/resume counters must balance.
   for (const std::uint64_t seed : scheduling_seeds()) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     const nn::NetworkModel net = tiny_net(3);
 
+    // Each chip's victim is its request 1.
+    const At victim_boundary = At::layer_boundary(1, 1);
+    auto obs = std::make_shared<TestObserver>();
+    obs->hold(victim_boundary);
     FleetOptions fo;
     fo.threads_per_chip = 1;
     fo.preemption = true;
+    fo.observers = {obs};
     Fleet fleet(fo);
     const std::size_t num_chips = fleet.chips().size();
     ASSERT_EQ(num_chips, 3u);
@@ -364,31 +370,19 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
       k.fill_random(rng, -16, 16);
     };
 
-    std::promise<void> open_gate;
-    std::shared_future<void> gate = open_gate.get_future().share();
-    std::vector<std::promise<void>> started(num_chips);
     std::vector<std::future<InferenceResult>> victims;
     std::vector<Tensor<std::int16_t>> victim_inputs;
     for (std::size_t v = 0; v < num_chips; ++v) {
-      auto once = std::make_shared<std::atomic<bool>>(false);
       RequestOptions ro;
       ro.array = pinned;
-      std::promise<void>* my_started = &started[v];
-      ro.weight_init = [gate, once, my_started, weights](
-                           std::int64_t layer, Tensor<std::int16_t>& k) {
-        if (layer == 0 && !once->exchange(true)) {
-          my_started->set_value();
-          gate.wait();
-        }
-        weights(layer, k);
-      };
+      ro.weight_init = weights;
       victim_inputs.push_back(
           request_input(net, 1, seed * 77 + static_cast<std::uint64_t>(v)));
       victims.push_back(fleet.submit(net, victim_inputs.back(), ro));
     }
-    // All three victims are mid-layer-0, one per chip, each pinning its
-    // chip's only worker.
-    for (std::promise<void>& p : started) p.get_future().wait();
+    // All three victims are parked at their layer-1 boundary, one per
+    // chip, each pinning its chip's only worker.
+    obs->wait_for(victim_boundary, static_cast<int>(num_chips));
 
     std::vector<std::future<InferenceResult>> urgent;
     std::vector<Tensor<std::int16_t>> urgent_inputs;
@@ -400,7 +394,7 @@ TEST(SchedProperties, PreemptionBurstIsBitIdenticalToOracle) {
           request_input(net, 1, seed * 99 + static_cast<std::uint64_t>(u)));
       urgent.push_back(fleet.submit(net, urgent_inputs.back(), ro));
     }
-    open_gate.set_value();
+    obs->release(victim_boundary);
 
     for (std::size_t v = 0; v < victims.size(); ++v) {
       const InferenceResult r = victims[v].get();

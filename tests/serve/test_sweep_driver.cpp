@@ -4,9 +4,12 @@
 // identical to a cold-cache sweep.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <memory>
 #include <vector>
 
 #include "serve/sweep_driver.hpp"
+#include "test_observer.hpp"
 
 namespace chainnn::serve {
 namespace {
@@ -152,26 +155,39 @@ TEST(SweepDriver, WallTimeExcludesQueueWait) {
   // with queue wait reported separately — co-tenant traffic on a shared
   // single-threaded server must land in queue_ms, never in wall_ms.
   // Regression for sweeps mistaking scheduling delay for point cost.
+  //
+  // `a` is held mid-run (at its layer-1 boundary) until `b` is queued
+  // behind it, and the test clock jumps an hour while it is held: that
+  // hour is execution time for `a` and queue time for `b`, by
+  // construction rather than by winning a race between two fast runs.
+  constexpr double kHourMs = 3600e3;
+  TestClock clock;
+  auto obs = std::make_shared<TestObserver>();
+  obs->hold(At::layer_boundary(1, 1));
   ServerOptions so;
   so.num_threads = 1;
+  so.clock = clock.source();
+  so.observers = {obs};
   InferenceServer server(so);
   const nn::NetworkModel net = tiny_net();
   RequestOptions slow;
-  slow.exec_mode = chain::ExecMode::kCycleAccurate;  // ~50x analytical
+  slow.exec_mode = chain::ExecMode::kCycleAccurate;
   RequestOptions fast;
   fast.exec_mode = chain::ExecMode::kAnalytical;
   auto a = server.submit(net, /*batch=*/4, slow);
+  obs->wait_for(At::layer_boundary(1, 1));
   auto b = server.submit(net, /*batch=*/4, fast);  // queues behind `a`
+  clock.advance(std::chrono::hours(1));
+  obs->release(At::layer_boundary(1, 1));
   const InferenceResult ra = a.get();
   const InferenceResult rb = b.get();
   ASSERT_EQ(ra.status, RequestStatus::kOk);
   ASSERT_EQ(rb.status, RequestStatus::kOk);
-  EXPECT_GT(ra.wall_ms, 0.0);
+  EXPECT_GE(ra.wall_ms, kHourMs);
   EXPECT_GT(rb.wall_ms, 0.0);
-  // `b` sat in the queue for (at least most of) `a`'s execution…
-  EXPECT_GE(rb.queue_ms, 0.5 * ra.wall_ms);
-  // …and none of that wait leaked into its own wall time: the analytical
-  // run is far cheaper than the cycle-accurate one it queued behind.
+  // `b` sat in the queue for all of `a`'s hour…
+  EXPECT_GE(rb.queue_ms, kHourMs);
+  // …and none of that wait leaked into its own wall time.
   EXPECT_LT(rb.wall_ms, rb.queue_ms);
 
   // Sweep-level: points are submitted and awaited in turn, so both
