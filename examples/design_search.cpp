@@ -1,9 +1,9 @@
-// Parallel Pareto design-space search (ROADMAP item 4): expands the
-// (chain length x clock x kernel storage x oMemory x per-layer channel
-// mode) grid from the paper's 576-PE/700MHz seed with the no-hierarchy
-// closed-form evaluator, prunes dominated points, and emits the Pareto
-// frontier as a machine-readable artifact (pareto.json) plus a markdown
-// table.
+// Pareto design-space search (ROADMAP item 4): costs the --max-points
+// points of the (chain length x clock x kernel storage x oMemory x
+// per-layer channel mode) grid nearest the paper's 576-PE/700MHz seed
+// with the no-hierarchy closed-form evaluator, prunes dominated points,
+// and emits the Pareto frontier as a machine-readable artifact
+// (pareto.json) plus a markdown table.
 //
 // The top-k frontier points are then *re-executed* end to end through
 // serve::SweepDriver — the closed forms must reproduce the executed
@@ -103,8 +103,9 @@ int main(int argc, char** argv) {
   const serve::DesignSearchStats& s = result.stats;
 
   std::cout << "design search (" << proxy.name << ", batch " << opts.batch
-            << "): " << s.evaluated << " points in " << s.waves
-            << " waves, " << strings::fmt_fixed(s.points_per_sec / 1e3, 1)
+            << "): " << s.evaluated << " points within distance "
+            << s.waves - 1 << " of the seed, "
+            << strings::fmt_fixed(s.points_per_sec / 1e3, 1)
             << "k points/s\n"
             << "  frontier " << s.frontier << ", pruned " << s.pruned << " ("
             << strings::fmt_pct(s.pruned_fraction(), 1) << "), infeasible "

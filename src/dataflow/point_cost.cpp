@@ -10,6 +10,16 @@ LayerCostModel layer_cost_model(const ExecutionPlan& plan) {
   return {plan.cost(plan.array), energy::rates_from_plan(plan)};
 }
 
+LayerTerm layer_term(const LayerCostModel& model, double clock_hz,
+                     std::int64_t num_pes, std::int64_t batch,
+                     const energy::EnergyModel& energy) {
+  LayerTerm t;
+  t.cycles = model.cost.cycles(batch);
+  t.seconds = static_cast<double>(t.cycles) / clock_hz;
+  t.energy_j = energy.power(model.rates, clock_hz, num_pes).total() * t.seconds;
+  return t;
+}
+
 PointCost accumulate_point_cost(
     const std::vector<const LayerCostModel*>& layers, double clock_hz,
     std::int64_t num_pes, std::int64_t batch,
@@ -18,18 +28,8 @@ PointCost accumulate_point_cost(
   CHAINNN_CHECK(clock_hz > 0 && num_pes > 0);
   PointCost cost;
   cost.area_gates = area_gates;
-  for (const LayerCostModel* m : layers) {
-    // The engines' accounting exactly (chain::analytical_stats reads the
-    // same LayerCost, and the cycle-accurate simulator matches it count
-    // for count).
-    const std::int64_t cycles = m->cost.cycles(batch);
-    const double seconds = static_cast<double>(cycles) / clock_hz;
-    const energy::PowerBreakdown power =
-        energy.power(m->rates, clock_hz, num_pes);
-    cost.total_cycles += cycles;
-    cost.seconds += seconds;
-    cost.energy_j += power.total() * seconds;
-  }
+  for (const LayerCostModel* m : layers)
+    cost.add(layer_term(*m, clock_hz, num_pes, batch, energy));
   return cost;
 }
 

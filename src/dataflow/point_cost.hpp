@@ -18,10 +18,12 @@
 // tests/dataflow/test_point_cost.cpp pins the cross-check against
 // executed SweepDriver rollups on the default sweep grid.
 //
-// Per-point cost is a handful of multiply-adds per layer once the plans
-// exist; serve::DesignSearch caches the per-layer LayerCostModel across
-// the clock and channel-mode axes (neither enters the plan key) to keep
-// it that way.
+// Per-point cost is a handful of additions per layer once the plans
+// exist: serve::DesignSearch builds each (chain, kmem, oMemory)
+// combination's LayerCostModels once (neither the clock nor the
+// channel mode enters the plan key), turns them into per-clock
+// LayerTerms, and sums a point's terms in layer order — the very
+// additions accumulate_point_cost performs, so its figures are bit-equal.
 #pragma once
 
 #include <cstdint>
@@ -54,6 +56,20 @@ struct LayerCostModel {
 // dual_channel).
 [[nodiscard]] LayerCostModel layer_cost_model(const ExecutionPlan& plan);
 
+// One layer's share of a point's cost at a clock: the engines'
+// accounting exactly (chain::analytical_stats reads the same LayerCost,
+// and the cycle-accurate simulator matches it count for count).
+struct LayerTerm {
+  std::int64_t cycles = 0;  // whole batch
+  double seconds = 0.0;     // cycles / clock_hz
+  double energy_j = 0.0;    // power(rates, clock, pes).total() * seconds
+};
+
+[[nodiscard]] LayerTerm layer_term(const LayerCostModel& model,
+                                   double clock_hz, std::int64_t num_pes,
+                                   std::int64_t batch,
+                                   const energy::EnergyModel& energy);
+
 struct PointCost {
   bool feasible = true;
   std::string infeasible_reason;  // first unmappable layer, when any
@@ -61,6 +77,13 @@ struct PointCost {
   double seconds = 0.0;
   double energy_j = 0.0;
   double area_gates = 0.0;  // logic + on-chip SRAM gate equivalents
+
+  // Adds one layer's terms — the only way a point's figures accumulate.
+  void add(const LayerTerm& t) {
+    total_cycles += t.cycles;
+    seconds += t.seconds;
+    energy_j += t.energy_j;
+  }
 
   // Strict Pareto dominance: `b` is worse than *this on every objective.
   // (Ties on any axis mean neither dominates, so e.g. clock variants —

@@ -4,10 +4,9 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
-#include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <functional>
 #include <utility>
 
 #include "common/check.hpp"
@@ -31,15 +30,60 @@ struct ComboModels {
   double area_gates = 0.0;
 };
 
-std::uint64_t combo_key(std::int32_t pes, std::int32_t kmem,
-                        std::int32_t omem) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(pes)) << 42) ^
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(kmem)) << 21) ^
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(omem));
+// The masks one configuration contributes, as Hamming levels from the
+// seed's all-dual mask: every mask of levels [0, full), then the
+// `partial` smallest masks of level `full`.
+struct Share {
+  std::size_t full = 0;
+  std::uint64_t partial = 0;
+};
+
+// Point counts saturate: a 64-layer mode axis alone has 2^64 masks.
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t sum = 0;
+  return __builtin_add_overflow(a, b, &sum) ? ~0ull : sum;
 }
 
-struct IdHash {
-  std::size_t operator()(const DesignPointId& id) const { return id.hash(); }
+// Calls fn(y) for the `n` smallest 64-bit words with `ones` bits set, in
+// increasing order (Gosper's hack).
+template <typename Fn>
+void for_each_word(int ones, std::uint64_t n, Fn&& fn) {
+  std::uint64_t y = ones >= 64 ? ~0ull : (1ull << ones) - 1;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    fn(y);
+    if (y == 0) return;
+    const std::uint64_t low = y & (~y + 1);
+    const std::uint64_t r = y + low;
+    y = r | (((y ^ r) >> 2) / low);
+  }
+}
+
+// The (cycles, energy) pairs of every point of smaller area, reduced to
+// a staircase: cycles ascending, least energy strictly descending. A
+// point is strictly beaten on both by one of them iff the step just
+// below its cycles has less energy.
+class Staircase {
+ public:
+  [[nodiscard]] bool beats(std::int64_t cycles, double energy) const {
+    const auto it = std::lower_bound(steps_.begin(), steps_.end(), cycles,
+                                     below);
+    return it != steps_.begin() && std::prev(it)->second < energy;
+  }
+
+  void insert(std::int64_t cycles, double energy) {
+    auto hi = std::upper_bound(steps_.begin(), steps_.end(), cycles, above);
+    if (hi != steps_.begin() && std::prev(hi)->second <= energy) return;
+    auto lo = std::lower_bound(steps_.begin(), steps_.end(), cycles, below);
+    hi = lo;
+    while (hi != steps_.end() && hi->second >= energy) ++hi;
+    steps_.insert(steps_.erase(lo, hi), {cycles, energy});
+  }
+
+ private:
+  using Step = std::pair<std::int64_t, double>;
+  static bool below(const Step& s, std::int64_t c) { return s.first < c; }
+  static bool above(std::int64_t c, const Step& s) { return c < s.first; }
+  std::vector<Step> steps_;
 };
 
 template <typename T>
@@ -50,21 +94,6 @@ std::int32_t index_of(const std::vector<T>& axis, T value) {
 }
 
 }  // namespace
-
-std::size_t DesignPointId::hash() const {
-  // FNV-1a over the canonical fields.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint32_t>(pes));
-  mix(static_cast<std::uint32_t>(clock));
-  mix(static_cast<std::uint32_t>(kmem));
-  mix(static_cast<std::uint32_t>(omem));
-  mix(mode_mask);
-  return static_cast<std::size_t>(h);
-}
 
 bool EvaluatedDesignPoint::uniform_mode() const {
   if (layer_dual.empty()) return true;
@@ -89,57 +118,11 @@ DesignSpaceGrid DesignSpaceGrid::paper_default() {
   return g;
 }
 
-struct DesignSearch::Impl {
-  static constexpr std::size_t kStripes = 64;
-
-  std::vector<nn::ConvLayerParams> layers;
-  DesignPointId paper_id;
-  bool grid_has_paper_point = false;
-
-  struct ComboStripe {
-    Mutex mu;
-    std::unordered_map<std::uint64_t, std::shared_ptr<const ComboModels>>
-        map CHAINNN_GUARDED_BY(mu);
-  };
-  std::array<ComboStripe, kStripes> combos;
-
-  struct VisitStripe {
-    Mutex mu;
-    std::unordered_set<DesignPointId, IdHash> set CHAINNN_GUARDED_BY(mu);
-  };
-  std::array<VisitStripe, kStripes> visited;
-
-  Mutex frontier_mu;
-  std::vector<EvaluatedDesignPoint> frontier CHAINNN_GUARDED_BY(frontier_mu);
-
-  // First sight of a canonical form wins; later discoverers see false.
-  bool visit(const DesignPointId& id) {
-    VisitStripe& s = visited[id.hash() % kStripes];
-    MutexLock lock(s.mu);
-    return s.set.insert(id).second;
-  }
-
-  // Insert-if-undominated; evicts members the newcomer dominates. The
-  // final content is the unique Pareto-maximal subset of everything ever
-  // offered, whatever the arrival order — which is the determinism
-  // argument for concurrent maintenance.
-  void offer(const EvaluatedDesignPoint& p) {
-    MutexLock lock(frontier_mu);
-    for (const EvaluatedDesignPoint& e : frontier)
-      if (e.cost.dominates(p.cost)) return;
-    std::erase_if(frontier, [&p](const EvaluatedDesignPoint& e) {
-      return p.cost.dominates(e.cost);
-    });
-    frontier.push_back(p);
-  }
-};
-
 DesignSearch::DesignSearch(nn::NetworkModel network, DesignSpaceGrid grid,
                            DesignSearchOptions options)
     : net_(std::move(network)),
       grid_(std::move(grid)),
-      opts_(std::move(options)),
-      impl_(std::make_unique<Impl>()) {
+      opts_(std::move(options)) {
   CHAINNN_CHECK_MSG(!net_.conv_layers.empty(),
                     "cannot search an empty network");
   CHAINNN_CHECK_MSG(opts_.batch >= 1,
@@ -156,76 +139,132 @@ DesignSearch::DesignSearch(nn::NetworkModel network, DesignSpaceGrid grid,
                         strictly_increasing(grid_.omemory_bytes),
                     "every grid axis must be non-empty and strictly "
                     "increasing");
+  CHAINNN_CHECK_MSG(grid_.num_pes.front() > 0 && grid_.clock_hz.front() > 0,
+                    "chain lengths and clocks must be positive");
 
   const nn::ConvLayerParams& first = net_.conv_layers.front();
-  impl_->layers = resolve_network_layers(net_, opts_.batch, first.in_height,
-                                         first.in_width, opts_.inter_layer);
-  CHAINNN_CHECK_MSG(!grid_.per_layer_channel_modes ||
-                        impl_->layers.size() <= 64,
+  layers_ = resolve_network_layers(net_, opts_.batch, first.in_height,
+                                   first.in_width, opts_.inter_layer);
+  CHAINNN_CHECK_MSG(!grid_.per_layer_channel_modes || layers_.size() <= 64,
                     "per-layer channel modes support at most 64 layers, got "
-                        << impl_->layers.size());
+                        << layers_.size());
 }
-
-DesignSearch::~DesignSearch() = default;
 
 DesignSearchResult DesignSearch::run() {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t num_layers = impl_->layers.size();
+  const std::size_t num_layers = layers_.size();
   const std::uint64_t all_dual =
       num_layers >= 64 ? ~0ull : ((1ull << num_layers) - 1);
+  // A point's mask is `fixed | y`, y one of the 2^bits mode words.
+  const std::size_t bits = grid_.per_layer_channel_modes ? num_layers : 0;
+  const std::uint64_t fixed = grid_.per_layer_channel_modes ? 0 : all_dual;
+  // Axis sizes in canonical order: pes, clock, kmem, omem.
+  const std::array<std::size_t, 4> size = {
+      grid_.num_pes.size(), grid_.clock_hz.size(),
+      grid_.kmem_words_per_pe.size(), grid_.omemory_bytes.size()};
 
-  // The paper point's canonical id, when the grid contains it.
-  {
-    DesignPointId id;
-    id.pes = index_of<std::int64_t>(grid_.num_pes, 576);
-    id.clock = index_of<double>(grid_.clock_hz, 700e6);
-    id.kmem = index_of<std::int64_t>(grid_.kmem_words_per_pe, 256);
-    id.omem = index_of<std::uint64_t>(grid_.omemory_bytes, 25 * 1024);
-    id.mode_mask = all_dual;
-    impl_->grid_has_paper_point =
-        id.pes >= 0 && id.clock >= 0 && id.kmem >= 0 && id.omem >= 0;
-    if (impl_->grid_has_paper_point) impl_->paper_id = id;
-  }
+  DesignPointId paper;
+  paper.pes = index_of<std::int64_t>(grid_.num_pes, 576);
+  paper.clock = index_of<double>(grid_.clock_hz, 700e6);
+  paper.kmem = index_of<std::int64_t>(grid_.kmem_words_per_pe, 256);
+  paper.omem = index_of<std::uint64_t>(grid_.omemory_bytes, 25 * 1024);
+  paper.mode_mask = all_dual;
+  const bool has_paper =
+      paper.pes >= 0 && paper.clock >= 0 && paper.kmem >= 0 && paper.omem >= 0;
+  std::array<std::int32_t, 4> seed = {paper.pes, paper.clock, paper.kmem,
+                                      paper.omem};
+  if (!has_paper)
+    for (std::size_t a = 0; a < 4; ++a)
+      seed[a] = static_cast<std::int32_t>(size[a] / 2);
 
-  DesignPointId seed;
-  if (impl_->grid_has_paper_point) {
-    seed = impl_->paper_id;
-  } else {
-    seed.pes = static_cast<std::int32_t>(grid_.num_pes.size() / 2);
-    seed.clock = static_cast<std::int32_t>(grid_.clock_hz.size() / 2);
-    seed.kmem = static_cast<std::int32_t>(grid_.kmem_words_per_pe.size() / 2);
-    seed.omem = static_cast<std::int32_t>(grid_.omemory_bytes.size() / 2);
-    seed.mode_mask = all_dual;
-  }
-
-  const auto models_for = [this](const DesignPointId& id)
-      -> std::shared_ptr<const ComboModels> {
-    const std::uint64_t key = combo_key(id.pes, id.kmem, id.omem);
-    Impl::ComboStripe& stripe =
-        impl_->combos[key % Impl::kStripes];
-    {
-      MutexLock lock(stripe.mu);
-      const auto it = stripe.map.find(key);
-      if (it != stripe.map.end()) return it->second;
+  // Configurations are numbered in canonical order (omem fastest), and
+  // (pes, kmem, omem) combinations the same way without the clock.
+  const auto configs = static_cast<std::size_t>(grid_.configurations());
+  const std::size_t combos = configs / size[1];
+  const std::size_t ko = size[2] * size[3];
+  const auto axes_of = [&size](std::size_t cfg) {
+    std::array<std::int32_t, 4> idx{};
+    for (std::size_t a = 4; a-- > 0;) {
+      idx[a] = static_cast<std::int32_t>(cfg % size[a]);
+      cfg /= size[a];
     }
-    // Build outside the stripe lock (pure — a racing duplicate build
-    // produces an identical object and is discarded below).
-    auto built = std::make_shared<ComboModels>();
-    dataflow::ArrayShape array;
-    array.num_pes = grid_.num_pes[static_cast<std::size_t>(id.pes)];
+    return idx;
+  };
+  const auto combo_of = [&size, ko](std::size_t cfg) {
+    return cfg / (size[1] * ko) * ko + cfg % ko;
+  };
+  const auto config_of = [&size, ko](std::size_t combo, std::size_t clock) {
+    return (combo / ko * size[1] + clock) * ko + combo % ko;
+  };
+  std::vector<std::size_t> distance(configs);
+  for (std::size_t cfg = 0; cfg < configs; ++cfg) {
+    const auto idx = axes_of(cfg);
+    for (std::size_t a = 0; a < 4; ++a)
+      distance[cfg] += static_cast<std::size_t>(std::abs(idx[a] - seed[a]));
+  }
+
+  // level[h] = C(bits, h) masks at Hamming level h (C(64, 32) < 2^61);
+  // at[d] = points at lattice distance d.
+  std::vector<std::uint64_t> level(bits + 1, 1);
+  for (std::size_t n = 1; n <= bits; ++n)
+    for (std::size_t h = n - 1; h >= 1; --h) level[h] += level[h - 1];
+  std::vector<std::uint64_t> at(
+      *std::max_element(distance.begin(), distance.end()) + bits + 1);
+  for (const std::size_t d : distance)
+    for (std::size_t h = 0; h <= bits; ++h)
+      at[d + h] = sat_add(at[d + h], level[h]);
+
+  // The budget: every distance below `last`, then the first `rest`
+  // points at distance `last` in canonical order.
+  const std::uint64_t budget =
+      opts_.max_points > 0 ? static_cast<std::uint64_t>(opts_.max_points)
+                           : ~0ull;
+  std::size_t last = 0;
+  std::uint64_t before = 0;
+  while (last + 1 < at.size() && at[last] < budget - before)
+    before += at[last++];
+  std::uint64_t rest = std::min(budget - before, at[last]);
+  std::vector<Share> shares(configs);
+  std::vector<bool> needed(combos);
+  for (std::size_t cfg = 0; cfg < configs; ++cfg) {
+    Share& s = shares[cfg];
+    if (distance[cfg] > last) continue;
+    const std::size_t h = last - distance[cfg];  // level at distance last
+    s.full = std::min(h, bits + 1);
+    if (h <= bits) {
+      s.partial = std::min(level[h], rest);
+      rest -= s.partial;
+      if (s.partial == level[h]) {  // the whole level fits
+        ++s.full;
+        s.partial = 0;
+      }
+    }
+    if (s.full > 0 || s.partial > 0) needed[combo_of(cfg)] = true;
+  }
+
+  // The array and memory a configuration runs.
+  const auto configure = [this](const std::array<std::int32_t, 4>& idx,
+                                dataflow::ArrayShape& array,
+                                mem::HierarchyConfig& memory) {
+    array.num_pes = grid_.num_pes[static_cast<std::size_t>(idx[0])];
+    array.clock_hz = grid_.clock_hz[static_cast<std::size_t>(idx[1])];
     array.kmem_words_per_pe =
-        grid_.kmem_words_per_pe[static_cast<std::size_t>(id.kmem)];
-    array.clock_hz = grid_.clock_hz.front();  // unused by the models
-    mem::HierarchyConfig memory;
-    memory.omemory_bytes =
-        grid_.omemory_bytes[static_cast<std::size_t>(id.omem)];
+        grid_.kmem_words_per_pe[static_cast<std::size_t>(idx[2])];
+    memory.omemory_bytes = grid_.omemory_bytes[static_cast<std::size_t>(idx[3])];
     memory.kmemory_bytes = static_cast<std::uint64_t>(array.num_pes) *
-                           static_cast<std::uint64_t>(
-                               array.kmem_words_per_pe) *
+                           static_cast<std::uint64_t>(array.kmem_words_per_pe) *
                            memory.word_bytes;
-    built->area_gates = opts_.area.total_gates(
+  };
+
+  std::vector<ComboModels> models(combos);
+  const auto build = [&](std::size_t combo) {
+    ComboModels& built = models[combo];
+    dataflow::ArrayShape array;
+    mem::HierarchyConfig memory;
+    configure(axes_of(config_of(combo, 0)), array, memory);  // any clock
+    built.area_gates = opts_.area.total_gates(
         array.num_pes, dataflow::point_sram_bytes(array, memory));
-    for (const nn::ConvLayerParams& layer : impl_->layers) {
+    for (const nn::ConvLayerParams& layer : layers_) {
       try {
         dataflow::ExecutionPlan plan =
             opts_.plan_cache ? opts_.plan_cache->plan_for(layer, array, memory)
@@ -235,181 +274,121 @@ DesignSearchResult DesignSearch::run() {
         modes[0] = dataflow::layer_cost_model(plan);
         plan.array.dual_channel = true;
         modes[1] = dataflow::layer_cost_model(plan);
-        built->layers.push_back(modes);
+        built.layers.push_back(modes);
       } catch (const std::exception& e) {
-        built->feasible = false;
-        built->reason = layer.name + ": " + e.what();
+        built.feasible = false;
+        built.reason = layer.name + ": " + e.what();
         break;
       }
     }
-    MutexLock lock(stripe.mu);
-    const auto [it, inserted] = stripe.map.emplace(key, std::move(built));
-    return it->second;
   };
+  std::vector<std::size_t> order;
+  for (std::size_t combo = 0; combo < combos; ++combo)
+    if (needed[combo]) order.push_back(combo);
+  if (opts_.num_workers == 1) {
+    for (const std::size_t combo : order) build(combo);
+  } else {
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(order.size());
+    for (const std::size_t combo : order)
+      tasks.push_back([&build, combo] { build(combo); });
+    (opts_.pool ? *opts_.pool : common::WorkPool::shared())
+        .run_batch(std::move(tasks));
+  }
+  std::sort(order.begin(), order.end(), [&models](auto a, auto b) {
+    return std::pair(models[a].area_gates, a) <
+           std::pair(models[b].area_gates, b);
+  });
 
-  const auto evaluate = [this, &models_for,
-                         num_layers](const DesignPointId& id) {
+  const auto expand = [&](const DesignPointId& id, dataflow::PointCost cost) {
     EvaluatedDesignPoint p;
     p.id = id;
-    p.array.num_pes = grid_.num_pes[static_cast<std::size_t>(id.pes)];
-    p.array.kmem_words_per_pe =
-        grid_.kmem_words_per_pe[static_cast<std::size_t>(id.kmem)];
-    p.array.clock_hz = grid_.clock_hz[static_cast<std::size_t>(id.clock)];
-    p.memory.omemory_bytes =
-        grid_.omemory_bytes[static_cast<std::size_t>(id.omem)];
-    p.memory.kmemory_bytes = static_cast<std::uint64_t>(p.array.num_pes) *
-                             static_cast<std::uint64_t>(
-                                 p.array.kmem_words_per_pe) *
-                             p.memory.word_bytes;
+    configure({id.pes, id.clock, id.kmem, id.omem}, p.array, p.memory);
     p.layer_dual.resize(num_layers);
     for (std::size_t i = 0; i < num_layers; ++i)
-      p.layer_dual[i] =
-          static_cast<std::uint8_t>((id.mode_mask >> i) & 1);
-    {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "pes%lld-clk%d-kw%lld-om%lluk",
-                    static_cast<long long>(p.array.num_pes),
-                    static_cast<int>(p.array.clock_hz / 1e6),
-                    static_cast<long long>(p.array.kmem_words_per_pe),
-                    static_cast<unsigned long long>(
-                        p.memory.omemory_bytes / 1024));
-      p.label = buf;
-      const std::uint64_t all =
-          num_layers >= 64 ? ~0ull : ((1ull << num_layers) - 1);
-      if (id.mode_mask != all) {
-        std::snprintf(buf, sizeof(buf), "-m%llx",
-                      static_cast<unsigned long long>(id.mode_mask));
-        p.label += buf;
-      }
+      p.layer_dual[i] = static_cast<std::uint8_t>((id.mode_mask >> i) & 1);
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "pes%lld-clk%d-kw%lld-om%lluk",
+                  static_cast<long long>(p.array.num_pes),
+                  static_cast<int>(p.array.clock_hz / 1e6),
+                  static_cast<long long>(p.array.kmem_words_per_pe),
+                  static_cast<unsigned long long>(p.memory.omemory_bytes /
+                                                  1024));
+    p.label = buf;
+    if (id.mode_mask != all_dual) {
+      std::snprintf(buf, sizeof(buf), "-m%llx",
+                    static_cast<unsigned long long>(id.mode_mask));
+      p.label += buf;
     }
-    const std::shared_ptr<const ComboModels> combo = models_for(id);
-    if (!combo->feasible) {
-      p.cost.feasible = false;
-      p.cost.infeasible_reason = combo->reason;
-      return p;
-    }
-    std::vector<const dataflow::LayerCostModel*> refs;
-    refs.reserve(num_layers);
-    for (std::size_t i = 0; i < num_layers; ++i)
-      refs.push_back(&combo->layers[i][p.layer_dual[i]]);
-    p.cost = dataflow::accumulate_point_cost(refs, p.array.clock_hz,
-                                             p.array.num_pes, opts_.batch,
-                                             opts_.energy, combo->area_gates);
+    p.cost = std::move(cost);
     return p;
   };
 
-  const auto neighbors = [this, num_layers](const DesignPointId& id,
-                                            std::vector<DesignPointId>& out) {
-    out.clear();
-    const auto step = [&out, &id](std::int32_t DesignPointId::* axis,
-                                  std::int32_t limit) {
-      DesignPointId n = id;
-      if (id.*axis > 0) {
-        n.*axis = id.*axis - 1;
-        out.push_back(n);
-      }
-      if (id.*axis + 1 < limit) {
-        n.*axis = id.*axis + 1;
-        out.push_back(n);
-      }
-    };
-    step(&DesignPointId::pes, static_cast<std::int32_t>(grid_.num_pes.size()));
-    step(&DesignPointId::clock,
-         static_cast<std::int32_t>(grid_.clock_hz.size()));
-    step(&DesignPointId::kmem,
-         static_cast<std::int32_t>(grid_.kmem_words_per_pe.size()));
-    step(&DesignPointId::omem,
-         static_cast<std::int32_t>(grid_.omemory_bytes.size()));
-    if (grid_.per_layer_channel_modes) {
-      for (std::size_t i = 0; i < num_layers && i < 64; ++i) {
-        DesignPointId n = id;
-        n.mode_mask = id.mode_mask ^ (1ull << i);
-        out.push_back(n);
-      }
-    }
-  };
-
-  const bool serial = opts_.num_workers == 1;
-  common::WorkPool* pool =
-      serial ? nullptr
-             : (opts_.pool ? opts_.pool : &common::WorkPool::shared());
-
+  // The streaming filter: one equal-area group at a time, tested against
+  // every smaller-area point, then added to them.
   DesignSearchResult result;
   DesignSearchStats& stats = result.stats;
-
-  std::vector<DesignPointId> wave = {seed};
-  impl_->visit(seed);
-  while (!wave.empty()) {
-    ++stats.waves;
-    std::vector<EvaluatedDesignPoint> evald(wave.size());
-    const std::size_t chunk = 64;
-    const std::size_t num_chunks = (wave.size() + chunk - 1) / chunk;
-    std::vector<std::vector<DesignPointId>> discovered(num_chunks);
-
-    const auto process = [&](std::size_t c) {
-      std::vector<DesignPointId> scratch;
-      const std::size_t lo = c * chunk;
-      const std::size_t hi = std::min(wave.size(), lo + chunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        evald[i] = evaluate(wave[i]);
-        if (evald[i].cost.feasible) impl_->offer(evald[i]);
-        // Pruned or not, the point expands: coverage of the reachable
-        // grid is what makes the frontier the exact Pareto set (see
-        // header comment); pruning saves storage, not reachability.
-        neighbors(wave[i], scratch);
-        for (const DesignPointId& n : scratch)
-          if (impl_->visit(n)) discovered[c].push_back(n);
+  stats.waves = static_cast<std::int64_t>(last) + 1;
+  Staircase smaller;
+  std::vector<dataflow::LayerTerm> terms(2 * num_layers);
+  for (std::size_t g = 0, end = 0; g < order.size(); g = end) {
+    const std::size_t first_survivor = result.frontier.size();
+    for (; end < order.size() &&
+           models[order[end]].area_gates == models[order[g]].area_gates;
+         ++end) {
+      const ComboModels& m = models[order[end]];
+      for (std::size_t clock = 0; clock < size[1]; ++clock) {
+        const std::size_t cfg = config_of(order[end], clock);
+        const Share& share = shares[cfg];
+        const auto idx = axes_of(cfg);
+        DesignPointId id{idx[0], idx[1], idx[2], idx[3], all_dual};
+        if (m.feasible)
+          for (std::size_t l = 0; l < 2 * num_layers; ++l)
+            terms[l] = dataflow::layer_term(
+                m.layers[l / 2][l % 2], grid_.clock_hz[clock],
+                grid_.num_pes[static_cast<std::size_t>(id.pes)], opts_.batch,
+                opts_.energy);
+        for (std::size_t h = 0; h <= std::min(share.full, bits); ++h) {
+          const std::uint64_t n = h < share.full ? level[h] : share.partial;
+          stats.evaluated += static_cast<std::int64_t>(n);
+          if (!m.feasible) stats.infeasible += static_cast<std::int64_t>(n);
+          if (!m.feasible && !opts_.collect_evaluated) continue;
+          for_each_word(bits - h, n, [&](std::uint64_t y) {
+            id.mode_mask = fixed | y;
+            dataflow::PointCost cost;
+            if (!m.feasible) {
+              cost.feasible = false;
+              cost.infeasible_reason = m.reason;
+              result.evaluated.push_back(expand(id, std::move(cost)));
+              return;
+            }
+            cost.area_gates = m.area_gates;
+            for (std::size_t l = 0; l < num_layers; ++l)
+              cost.add(terms[2 * l + ((id.mode_mask >> l) & 1)]);
+            if (opts_.collect_evaluated)
+              result.evaluated.push_back(expand(id, cost));
+            if (!smaller.beats(cost.total_cycles, cost.energy_j))
+              result.frontier.push_back(expand(id, std::move(cost)));
+          });
+        }
       }
-    };
-    if (serial || num_chunks == 1) {
-      for (std::size_t c = 0; c < num_chunks; ++c) process(c);
-    } else {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(num_chunks);
-      for (std::size_t c = 0; c < num_chunks; ++c)
-        tasks.push_back([&process, c] { process(c); });
-      pool->run_batch(std::move(tasks));
     }
-
-    stats.evaluated += static_cast<std::int64_t>(wave.size());
-    for (const EvaluatedDesignPoint& p : evald)
-      if (!p.cost.feasible) ++stats.infeasible;
-    if (opts_.collect_evaluated)
-      result.evaluated.insert(result.evaluated.end(),
-                              std::make_move_iterator(evald.begin()),
-                              std::make_move_iterator(evald.end()));
-
-    std::vector<DesignPointId> next;
-    for (std::vector<DesignPointId>& d : discovered)
-      next.insert(next.end(), d.begin(), d.end());
-    // Which chunk won a contended visit() is timing-dependent; the
-    // union is not. Canonical order restores determinism.
-    std::sort(next.begin(), next.end());
-    if (opts_.max_points > 0) {
-      const std::int64_t remaining = opts_.max_points - stats.evaluated;
-      if (remaining <= 0) break;
-      if (static_cast<std::int64_t>(next.size()) > remaining)
-        next.resize(static_cast<std::size_t>(remaining));
-    }
-    wave = std::move(next);
+    for (std::size_t i = first_survivor; i < result.frontier.size(); ++i)
+      smaller.insert(result.frontier[i].cost.total_cycles,
+                     result.frontier[i].cost.energy_j);
   }
 
-  {
-    MutexLock lock(impl_->frontier_mu);
-    result.frontier = impl_->frontier;
-  }
-  std::sort(result.frontier.begin(), result.frontier.end(),
-            [](const EvaluatedDesignPoint& a, const EvaluatedDesignPoint& b) {
-              return a.id < b.id;
-            });
+  const auto by_id = [](const EvaluatedDesignPoint& a,
+                        const EvaluatedDesignPoint& b) { return a.id < b.id; };
+  std::sort(result.frontier.begin(), result.frontier.end(), by_id);
+  std::sort(result.evaluated.begin(), result.evaluated.end(), by_id);
   stats.frontier = static_cast<std::int64_t>(result.frontier.size());
   stats.pruned = stats.evaluated - stats.infeasible - stats.frontier;
-  if (impl_->grid_has_paper_point)
-    for (const EvaluatedDesignPoint& p : result.frontier)
-      if (p.id == impl_->paper_id) {
-        stats.contains_paper_point = true;
-        break;
-      }
+  stats.contains_paper_point =
+      has_paper && std::any_of(result.frontier.begin(), result.frontier.end(),
+                               [&paper](const EvaluatedDesignPoint& p) {
+                                 return p.id == paper;
+                               });
   stats.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

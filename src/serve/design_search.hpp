@@ -1,41 +1,46 @@
-// DesignSearch — parallel Pareto design-space exploration with dominance
-// pruning (ROADMAP item 4).
+// DesignSearch — Pareto design-space exploration (ROADMAP item 4).
 //
 // SweepDriver *executes* a handful of hand-picked points; this subsystem
-// instead treats the design space — chain length x clock x per-PE kernel
-// words x oMemory capacity x per-layer channel mode — as a state-space
-// search, the way the related multi-core reachability work (ltsmin)
-// treats model states:
+// instead costs the whole design space — chain length x clock x per-PE
+// kernel words x oMemory capacity x per-layer channel mode — and keeps
+// its Pareto frontier over (cycles, energy, area):
 //
-//   * points are canonical index tuples into a DesignSpaceGrid; the
-//     neighborhood generator steps one axis index (or flips one layer's
-//     channel mode), so exploration expands in waves from the paper's
-//     576-PE / 700 MHz seed;
-//   * canonical-form deduplication: a hash-consed visited set, sharded
-//     and mutex-striped, admits each point exactly once however many
-//     workers discover it simultaneously;
+//   * points are canonical index tuples into a DesignSpaceGrid, and the
+//     search enumerates them directly, configuration by configuration
+//     (a configuration is one chain/clock/kmem/oMemory tuple; its points
+//     are its channel-mode masks);
 //   * per-point cost comes from the no-hierarchy closed forms
-//     (dataflow::estimate_point_cost's accumulate path) over per-layer
-//     LayerCostModels hash-consed per (chain, kmem, omem, mode) — the
-//     clock axis and the batch never rebuild a plan;
-//   * dominance pruning: a point strictly worse on cycles AND energy AND
-//     area than a frontier member is dropped on evaluation — it is
-//     counted, but never stored. Memory stays O(frontier + wave), not
-//     O(points). Pruned points still *expand* (their neighbors are
-//     generated), so the reachable grid is covered exhaustively and the
-//     frontier is exactly the Pareto-maximal set of every evaluated
-//     point — which is what makes the oracle test below possible;
-//   * determinism: the frontier is maintained concurrently under a lock,
-//     but the Pareto-maximal subset of a fixed point set is unique under
-//     strict dominance whatever the insertion order, wave membership is
-//     a pure function of the previous wave, and results are sorted
+//     (dataflow::accumulate_point_cost). Each (chain, kmem, omem)
+//     combination's per-layer LayerCostModels are built once — the
+//     clock axis and the batch never rebuild a plan — and each
+//     configuration turns them into per-layer LayerTerms once, so a
+//     point is the sum of its mask's terms in layer order: the same
+//     additions accumulate_point_cost makes, hence bit-equal figures;
+//   * streaming dominance filter: a point can only be strictly dominated
+//     by a point of strictly smaller area, and area is a property of the
+//     combination. Combinations are visited in ascending area, equal
+//     areas grouped; each group's points are tested against a 2-D
+//     (cycles -> least energy) staircase of every smaller-area point,
+//     and only then is the group added to it. Survivors are final
+//     frontier members, so memory stays O(staircase + frontier + one
+//     group) and labels are built for frontier members only;
+//   * the budget: max_points evaluates the points nearest the seed (the
+//     paper's 576-PE / 700 MHz point, or the axis midpoints) by lattice
+//     distance — the summed index distances on the four axes plus the
+//     number of layers whose channel mode differs — ties broken by
+//     canonical id. The per-distance point counts are closed forms, so
+//     the cut costs O(budget + configurations), never O(grid);
+//     stats.waves is 1 + the largest distance evaluated;
+//   * determinism: the evaluated set is a pure function of the grid and
+//     the budget, the staircase pass is serial, and results are sorted
 //     canonically — so the frontier is independent of worker count.
-//     tests/serve/test_design_search.cpp pins 1-vs-N worker identity and
-//     frontier equality against an exhaustive-enumeration oracle.
+//     tests/serve/test_design_search.cpp pins 1-vs-N worker identity,
+//     the budget's point set, and frontier equality against an
+//     exhaustive-enumeration oracle.
 //
 // Workers come from the process-wide common::WorkPool (run_batch helping
-// semantics): the search owns no threads and composes with a serving
-// fleet on the same pool.
+// semantics): only the per-combination model builds fan out, the search
+// owns no threads and composes with a serving fleet on the same pool.
 #pragma once
 
 #include <cstdint>
@@ -52,7 +57,8 @@
 namespace chainnn::serve {
 
 // The axes of the search. Every axis vector must be non-empty and
-// strictly increasing; neighbors step +-1 along an axis.
+// strictly increasing; a point's distance along an axis is the
+// difference of its indices.
 struct DesignSpaceGrid {
   std::vector<std::int64_t> num_pes;
   std::vector<double> clock_hz;
@@ -76,15 +82,14 @@ struct DesignSpaceGrid {
 };
 
 // Canonical form of a point: axis indices plus the per-layer channel
-// mask (bit i set = layer i streams dual-channel). Hash-consing and the
-// visited set key on this, never on the expanded configuration.
+// mask (bit i set = layer i streams dual-channel). Results are sorted
+// by it, never by the expanded configuration.
 struct DesignPointId {
   std::int32_t pes = 0, clock = 0, kmem = 0, omem = 0;
   std::uint64_t mode_mask = ~0ull;
 
   friend bool operator==(const DesignPointId&, const DesignPointId&) = default;
   friend auto operator<=>(const DesignPointId&, const DesignPointId&) = default;
-  [[nodiscard]] std::size_t hash() const;
 };
 
 // One evaluated point, expanded back to the configuration it denotes.
@@ -103,11 +108,11 @@ struct EvaluatedDesignPoint {
 };
 
 struct DesignSearchStats {
-  std::int64_t evaluated = 0;   // costed points (== visited)
+  std::int64_t evaluated = 0;   // costed points
   std::int64_t infeasible = 0;  // some layer unmappable at the point
   std::int64_t pruned = 0;      // feasible but Pareto-dominated
   std::int64_t frontier = 0;
-  std::int64_t waves = 0;
+  std::int64_t waves = 0;       // 1 + the largest seed distance costed
   double wall_seconds = 0.0;
   double points_per_sec = 0.0;
   bool contains_paper_point = false;  // 576@700/256w/25KB on the frontier
@@ -122,21 +127,22 @@ struct DesignSearchResult {
   // The Pareto-maximal evaluated points, sorted by canonical id.
   std::vector<EvaluatedDesignPoint> frontier;
   DesignSearchStats stats;
-  // Every evaluated point (same order guarantees), only with
+  // Every evaluated point, sorted by canonical id, only with
   // DesignSearchOptions::collect_evaluated — the oracle tests' hook.
   std::vector<EvaluatedDesignPoint> evaluated;
 };
 
 struct DesignSearchOptions {
   std::int64_t batch = 1;
-  // Evaluation budget; the search stops expanding once reached (the
-  // truncation is canonical-order, so still deterministic). <= 0 means
-  // the whole reachable grid.
+  // Evaluation budget: the max_points points nearest the seed by
+  // lattice distance, ties broken by canonical id (see the file
+  // comment). <= 0 means the whole grid.
   std::int64_t max_points = 200000;
-  // <= 1 runs the wave loop serially on the calling thread (the oracle
-  // baseline); anything else fans each wave out over `pool`.
+  // 1 builds the per-combination cost models serially on the calling
+  // thread (the oracle baseline); anything else fans them out over
+  // `pool`.
   std::int64_t num_workers = 0;
-  // Pool for parallel waves; nullptr uses WorkPool::shared().
+  // Pool for parallel model builds; nullptr uses WorkPool::shared().
   common::WorkPool* pool = nullptr;
   energy::EnergyModel energy = energy::EnergyModel::paper_calibrated();
   energy::AreaModel area;
@@ -151,27 +157,24 @@ class DesignSearch {
  public:
   DesignSearch(nn::NetworkModel network, DesignSpaceGrid grid,
                DesignSearchOptions options = {});
-  ~DesignSearch();
 
   DesignSearch(const DesignSearch&) = delete;
   DesignSearch& operator=(const DesignSearch&) = delete;
 
-  // Expands the grid from the seed (the paper point when the grid
-  // contains it, the axis midpoints otherwise) until exhaustion or
-  // max_points. Deterministic: equal grids and options produce equal
-  // results whatever the worker count.
+  // Costs the grid, or its max_points points nearest the seed (the
+  // paper point when the grid contains it, the axis midpoints
+  // otherwise), and returns their Pareto frontier. Deterministic: equal
+  // grids and options produce equal results whatever the worker count.
   [[nodiscard]] DesignSearchResult run();
 
   [[nodiscard]] const nn::NetworkModel& network() const { return net_; }
   [[nodiscard]] const DesignSpaceGrid& grid() const { return grid_; }
 
  private:
-  struct Impl;
-
   nn::NetworkModel net_;
   DesignSpaceGrid grid_;
   DesignSearchOptions opts_;
-  std::unique_ptr<Impl> impl_;
+  std::vector<nn::ConvLayerParams> layers_;  // resolved to their H/W
 };
 
 }  // namespace chainnn::serve
